@@ -193,22 +193,6 @@ impl TransferColumns {
             self.rows_by_nft[nft.index()].push((base + offset) as u32);
         }
     }
-
-    /// Approximate resident bytes of the columns and the row index (for the
-    /// bytes-per-transfer accounting in the perf trajectory).
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.nft.capacity() * size_of::<NftKey>()
-            + self.from.capacity() * size_of::<AccountId>()
-            + self.to.capacity() * size_of::<AccountId>()
-            + self.tx_hash.capacity() * size_of::<TxHash>()
-            + self.block.capacity() * size_of::<BlockNumber>()
-            + self.timestamp.capacity() * size_of::<Timestamp>()
-            + self.price.capacity() * size_of::<Wei>()
-            + self.marketplace.capacity() * size_of::<Option<MarketId>>()
-            + self.rows_by_nft.iter().map(|rows| rows.capacity() * size_of::<u32>()).sum::<usize>()
-            + self.rows_by_nft.capacity() * size_of::<Vec<u32>>()
-    }
 }
 
 /// One shard's rewritten rows, in the same struct-of-arrays shape as
@@ -303,7 +287,6 @@ mod tests {
         assert_eq!(columns.transfer_count_of(NftKey(0)), 2);
         let back = columns.row(2);
         assert_eq!((back.nft, back.from, back.to), (NftKey(0), AccountId(1), AccountId(0)));
-        assert!(columns.resident_bytes() > 0);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl ShardRemap {
 }
 
 /// Per-phase instrumentation of one [`Dataset::ingest_blocks_instrumented`]
-/// call — the breakdown the ingest-throughput bench records.
+/// call — the breakdown behind the benchmark's `ingest.*` layer metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
     /// Wall time of the parallel decode fan-out, nanoseconds.
@@ -236,8 +236,8 @@ impl Dataset {
         self.ingest_blocks_instrumented(chain, directory, from, to, executor).0
     }
 
-    /// [`Dataset::ingest_blocks`] with per-phase timing, for the
-    /// ingest-throughput bench and the pipeline's stage metrics.
+    /// [`Dataset::ingest_blocks`] with per-phase timing, for the benchmark's
+    /// ingest layer metrics and the pipeline's stage metrics.
     pub fn ingest_blocks_instrumented(
         &mut self,
         chain: &Chain,

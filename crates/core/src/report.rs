@@ -12,9 +12,9 @@ use crate::profit::{ResaleReport, RewardReport};
 use crate::refine::RefinementReport;
 
 /// Render every deterministic field of a report into one canonical string —
-/// the comparison form behind the golden-snapshot gate, the parallel-ingest
-/// determinism proptest and the ingest bench's cross-thread-count check, so
-/// a new report field only ever needs to be added here.
+/// the comparison form behind the golden-snapshot gate and the
+/// parallel-ingest determinism proptest, so a new report field only ever
+/// needs to be added here.
 ///
 /// `Debug` for `HashMap` fields would iterate in per-process random order,
 /// so map-valued fields (volume CDFs, pattern occurrences) are emitted as

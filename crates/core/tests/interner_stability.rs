@@ -5,32 +5,65 @@
 //!   [`EpochPlan::straddling`] (boundaries cutting through planted wash
 //!   activities) yields exactly the id assignment of a one-shot build,
 //! * [`TransferColumns`] per-NFT row slices resolve to exactly the per-NFT
-//!   transfer vectors the address-keyed pipeline used to store, verified
-//!   against an independent reconstruction from the raw chain logs.
+//!   transfer vectors the address-keyed pipeline used to store, and the
+//!   compliance verdicts and raw log count match, all verified against an
+//!   independent reconstruction from the raw chain logs and contract code.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use ethsim::Wei;
+use ethsim::{Address, Wei};
 use ids::NftKey;
 use tokens::NftId;
 use washtrade::dataset::{Dataset, NftTransfer};
+use washtrade::parallel::Executor;
 use workload::{EpochPlan, WorkloadConfig, World};
 
 fn world(seed: u64) -> World {
     World::generate(WorkloadConfig::small(seed)).expect("world")
 }
 
-/// Independent reconstruction of the address-keyed pipeline's canonical
-/// storage — one chronological `Vec<NftTransfer>` per NFT — straight from
-/// the chain's logs, mirroring §III-A decode/compliance/annotation without
-/// going through `TransferColumns`.
-fn reference_histories(world: &World, dataset: &Dataset) -> HashMap<NftId, Vec<NftTransfer>> {
-    let mut histories: HashMap<NftId, Vec<NftTransfer>> = HashMap::new();
-    for entry in world.chain.logs(&Dataset::transfer_filter()) {
+/// What ingest must produce, rebuilt independently of it.
+struct Reference {
+    /// The address-keyed pipeline's canonical storage: one chronological
+    /// `Vec<NftTransfer>` per NFT.
+    histories: HashMap<NftId, Vec<NftTransfer>>,
+    /// Contracts whose bytecode passes the ERC-165 ERC-721 probe.
+    compliant: BTreeSet<Address>,
+    /// Contracts that emitted transfer logs but fail the probe.
+    non_compliant: BTreeSet<Address>,
+    /// Every log matching the transfer filter, before the compliance filter.
+    raw_transfer_events: usize,
+}
+
+/// Independent reconstruction straight from the chain's logs and contract
+/// code, mirroring §III-A decode/compliance/annotation without going through
+/// `TransferColumns` or the dataset's verdicts: each emitting contract is
+/// probed with [`tokens::compliance::supports_erc721_interface`] here.
+fn reference_histories(world: &World) -> Reference {
+    let entries = world.chain.logs(&Dataset::transfer_filter());
+    let mut reference = Reference {
+        histories: HashMap::new(),
+        compliant: BTreeSet::new(),
+        non_compliant: BTreeSet::new(),
+        raw_transfer_events: entries.len(),
+    };
+    for entry in &entries {
+        let contract = entry.log.address;
+        let supports = world
+            .chain
+            .code_at(contract)
+            .is_some_and(tokens::compliance::supports_erc721_interface);
+        if supports {
+            reference.compliant.insert(contract);
+        } else {
+            reference.non_compliant.insert(contract);
+        }
+    }
+    for entry in &entries {
         let Some(decoded) = entry.log.decode_erc721_transfer() else {
             continue;
         };
-        if !dataset.compliant_contracts.contains(&decoded.contract) {
+        if !reference.compliant.contains(&decoded.contract) {
             continue;
         }
         let tx = world.chain.transaction(entry.tx_hash).expect("log has transaction");
@@ -48,7 +81,7 @@ fn reference_histories(world: &World, dataset: &Dataset) -> HashMap<NftId, Vec<N
         };
         let marketplace = tx.to.filter(|to| world.directory.by_contract(*to).is_some());
         let nft = NftId::new(decoded.contract, decoded.token_id);
-        histories.entry(nft).or_default().push(NftTransfer {
+        reference.histories.entry(nft).or_default().push(NftTransfer {
             nft,
             from: decoded.from,
             to: decoded.to,
@@ -59,7 +92,7 @@ fn reference_histories(world: &World, dataset: &Dataset) -> HashMap<NftId, Vec<N
             marketplace,
         });
     }
-    histories
+    reference
 }
 
 #[test]
@@ -115,25 +148,40 @@ fn epoch_by_epoch_interning_matches_one_shot_over_straddling_boundaries() {
 
 #[test]
 fn column_slices_equal_the_old_per_nft_vectors() {
-    let world = world(5);
-    let dataset = Dataset::build(&world.chain, &world.directory);
-    let reference = reference_histories(&world, &dataset);
+    for (seed, threads) in [(5, 1), (9, 4)] {
+        let world = world(seed);
+        let dataset = Dataset::build_with(&world.chain, &world.directory, &Executor::new(threads));
+        let reference = reference_histories(&world);
 
-    assert_eq!(dataset.nft_count(), reference.len());
-    let mut covered_rows = 0usize;
-    for (&nft, expected) in &reference {
-        let resolved = dataset.transfers_of(nft);
-        assert_eq!(&resolved, expected, "history of {nft} diverged from the reference");
-        let key = dataset.interner.nft_key(nft).expect("nft interned");
-        assert_eq!(dataset.columns.transfer_count_of(key), expected.len());
-        covered_rows += expected.len();
-    }
-    // The per-NFT slices partition the store: every row belongs to exactly
-    // one NFT's slice.
-    assert_eq!(covered_rows, dataset.transfer_count());
-    for key in 0..dataset.nft_count() as u32 {
-        for &row in dataset.columns.rows_of(NftKey(key)) {
-            assert_eq!(dataset.columns.nft[row as usize], NftKey(key));
+        assert!(!reference.compliant.is_empty() && !reference.non_compliant.is_empty());
+        assert_eq!(
+            dataset.compliant_contracts.iter().copied().collect::<BTreeSet<_>>(),
+            reference.compliant,
+            "seed {seed}: compliant verdicts diverged from the ERC-165 probe"
+        );
+        assert_eq!(
+            dataset.non_compliant_contracts.iter().copied().collect::<BTreeSet<_>>(),
+            reference.non_compliant,
+            "seed {seed}: non-compliant verdicts diverged from the ERC-165 probe"
+        );
+        assert_eq!(dataset.raw_transfer_events, reference.raw_transfer_events, "seed {seed}");
+
+        assert_eq!(dataset.nft_count(), reference.histories.len());
+        let mut covered_rows = 0usize;
+        for (&nft, expected) in &reference.histories {
+            let resolved = dataset.transfers_of(nft);
+            assert_eq!(&resolved, expected, "history of {nft} diverged from the reference");
+            let key = dataset.interner.nft_key(nft).expect("nft interned");
+            assert_eq!(dataset.columns.transfer_count_of(key), expected.len());
+            covered_rows += expected.len();
+        }
+        // The per-NFT slices partition the store: every row belongs to
+        // exactly one NFT's slice.
+        assert_eq!(covered_rows, dataset.transfer_count());
+        for key in 0..dataset.nft_count() as u32 {
+            for &row in dataset.columns.rows_of(NftKey(key)) {
+                assert_eq!(dataset.columns.nft[row as usize], NftKey(key));
+            }
         }
     }
 }

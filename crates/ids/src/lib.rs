@@ -229,18 +229,6 @@ impl Interner {
         self.markets.len()
     }
 
-    /// Approximate resident bytes of the interner's tables (for the
-    /// bytes-per-transfer accounting in the perf trajectory).
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.accounts.capacity() * size_of::<Address>()
-            + self.account_ids.capacity() * (size_of::<Address>() + size_of::<AccountId>())
-            + self.nfts.capacity() * size_of::<NftId>()
-            + self.nft_keys.capacity() * (size_of::<NftId>() + size_of::<NftKey>())
-            + self.markets.capacity() * size_of::<Address>()
-            + self.market_ids.capacity() * (size_of::<Address>() + size_of::<MarketId>())
-    }
-
     // -- speculative interning ---------------------------------------------
 
     /// Freeze a read-only view of the interner for a parallel phase: the
@@ -698,7 +686,6 @@ mod tests {
         assert_eq!(interner.nft(key), NftId::new(contract, 7));
         assert_eq!(interner.market(market), Address::derived("opensea"));
         assert_eq!(interner.nft_key(NftId::new(contract, 8)), None);
-        assert!(interner.resident_bytes() > 0);
     }
 
     #[test]

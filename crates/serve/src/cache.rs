@@ -64,9 +64,7 @@ struct Shard {
     clock: u64,
 }
 
-/// The sharded LRU. `capacity_per_shard == 0` disables caching entirely
-/// (every lookup is a miss), which the benchmarks use to measure the
-/// uncached baseline.
+/// The sharded LRU.
 pub struct ShardedLru {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
@@ -135,9 +133,6 @@ impl ShardedLru {
     /// publishes and are reclaimed by LRU pressure only. If the shard is
     /// still full, the least-recently-used entry is evicted.
     pub fn insert(&self, epoch: u64, query: Query, response: Response) {
-        if self.capacity_per_shard == 0 {
-            return;
-        }
         let mut shard = self.shard_of(&query).lock().expect("cache shard poisoned");
         shard.clock += 1;
         let clock = shard.clock;
@@ -240,14 +235,6 @@ mod tests {
         assert_eq!(cache.stats().evictions, 3);
         let merged = cache.stats().merge(&CacheStats { hits: 1, misses: 2, evictions: 4 });
         assert_eq!(merged, CacheStats { hits: 1, misses: 2, evictions: 7 });
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = ShardedLru::new(2, 0);
-        cache.insert(1, stats_query(1), response(1));
-        assert_eq!(cache.get(1, &stats_query(1)), None);
-        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]

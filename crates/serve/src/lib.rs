@@ -46,7 +46,7 @@ pub use cache::{CacheStats, ShardedLru};
 pub use chunks::SegmentedVec;
 pub use obs::MetricsSnapshot;
 pub use publish::{RetentionPolicy, SnapshotPublisher};
-pub use query::{CacheConfig, Query, QueryService, Response, Served, TrendPoint};
+pub use query::{Query, QueryService, Response, Served, TrendPoint};
 pub use snapshot::{
     AccountDossier, ActivityRecord, CollectionRollup, NftSummary, Snapshot, SnapshotBuildStats,
     SnapshotMeta, SnapshotStats, WashVolumes,

@@ -270,7 +270,7 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{CacheConfig, Query, QueryService};
+    use crate::query::{Query, QueryService};
     use crate::snapshot::SnapshotMeta;
     use ethsim::BlockNumber;
     use std::collections::HashMap;
@@ -358,8 +358,8 @@ mod tests {
     #[test]
     fn registered_caches_report_through_the_publisher() {
         let publisher = SnapshotPublisher::new();
-        let service_a = QueryService::with_cache(publisher.clone(), CacheConfig::default());
-        let service_b = QueryService::with_cache(publisher.clone(), CacheConfig::default());
+        let service_a = QueryService::new(publisher.clone());
+        let service_b = QueryService::new(publisher.clone());
 
         // One miss then one hit on A, one miss on B.
         service_a.query(&Query::Stats);
@@ -382,11 +382,11 @@ mod tests {
         // calls `cache_stats`.
         let publisher = SnapshotPublisher::new();
         for _ in 0..32 {
-            let service = QueryService::with_cache(publisher.clone(), CacheConfig::default());
+            let service = QueryService::new(publisher.clone());
             service.query(&Query::Stats);
             drop(service);
         }
-        let survivor = QueryService::with_cache(publisher.clone(), CacheConfig::default());
+        let survivor = QueryService::new(publisher.clone());
         assert_eq!(publisher.registered_caches(), 1);
         assert!(
             publisher.caches.lock().unwrap().len() <= 2,

@@ -218,27 +218,10 @@ impl Snapshot {
     }
 }
 
-/// Cache sizing for a [`QueryService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Number of independent shards (locks).
-    pub shards: usize,
-    /// Entries per shard; `0` disables caching.
-    pub capacity_per_shard: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { shards: 16, capacity_per_shard: 64 }
-    }
-}
-
-impl CacheConfig {
-    /// A configuration with caching turned off (benchmark baseline).
-    pub fn disabled() -> Self {
-        CacheConfig { shards: 1, capacity_per_shard: 0 }
-    }
-}
+/// Shards (independent locks) of a [`QueryService`]'s response cache.
+const CACHE_SHARDS: usize = 16;
+/// Entries per shard of a [`QueryService`]'s response cache.
+const CACHE_ENTRIES_PER_SHARD: usize = 64;
 
 /// The concurrent query front end: loads the current snapshot from the
 /// publisher, consults the sharded LRU, computes on miss. Clones share the
@@ -251,16 +234,12 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// A service over `publisher` with the default cache.
+    /// A service over `publisher` with a 16-shard × 64-entry response
+    /// cache. The cache is registered with the publisher so
+    /// [`SnapshotPublisher::cache_stats`] sees it for as long as this service
+    /// (or a clone) is alive.
     pub fn new(publisher: SnapshotPublisher) -> Self {
-        QueryService::with_cache(publisher, CacheConfig::default())
-    }
-
-    /// A service with explicit cache sizing. The cache is registered with
-    /// the publisher so [`SnapshotPublisher::cache_stats`] sees it for as
-    /// long as this service (or a clone) is alive.
-    pub fn with_cache(publisher: SnapshotPublisher, config: CacheConfig) -> Self {
-        let cache = Arc::new(ShardedLru::new(config.shards, config.capacity_per_shard));
+        let cache = Arc::new(ShardedLru::new(CACHE_SHARDS, CACHE_ENTRIES_PER_SHARD));
         publisher.register_cache(&cache);
         QueryService { publisher, cache }
     }

@@ -1046,7 +1046,8 @@ fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Record the delta-build counters the bench reads as the chunk-reuse ratio.
+/// Record the delta-build counters: the records each delta build reused
+/// and resolved afresh, the inputs of the chunk-reuse ratio.
 fn note_delta_metrics(build: &SnapshotBuildStats) {
     obs::counter!("serve.snapshot.delta_builds");
     obs::counter!("serve.snapshot.records_reused", build.records_reused as u64);

@@ -33,7 +33,7 @@ use washtrade::characterize::{
 use washtrade::dataset::NftMarketLeaves;
 use washtrade::detect::{DenseActivity, DetectionOutcome, Detector, MethodSet};
 use washtrade::parallel::Executor;
-use washtrade::pipeline::{AnalysisInput, AnalysisOptions};
+use washtrade::pipeline::AnalysisInput;
 use washtrade::profit::{
     analyze_resales, analyze_rewards, reduce_resales, reduce_rewards, resale_facts, reward_facts,
     ResaleOutcome, ResaleReport, RewardOutcome, RewardReport,
@@ -79,7 +79,7 @@ pub struct EpochDelta {
     pub wall_time_ns: u64,
     /// Wall-clock time of the epoch's report reassembly (the
     /// refine-aggregate → detect → characterize → profit tail), nanoseconds
-    /// — the `reassemble_scaling` bench's incremental-path sample.
+    /// — the benchmark's `stream.reassemble_ms` sample.
     pub reassemble_ns: u64,
 }
 
@@ -164,11 +164,6 @@ impl StreamOptions {
     /// Options pinned to a single thread.
     pub fn single_threaded() -> Self {
         StreamOptions { threads: 1 }
-    }
-
-    /// Adopt the thread budget of batch [`AnalysisOptions`].
-    pub fn from_analysis(options: AnalysisOptions) -> Self {
-        StreamOptions { threads: options.threads }
     }
 }
 
@@ -608,8 +603,8 @@ impl<'a> StreamAnalyzer<'a> {
     /// Rebuild the current epoch's snapshot from scratch through the full
     /// (non-delta) constructor. This is the delta path's reference: the
     /// result must be bit-identical to [`StreamAnalyzer::snapshot`], which
-    /// the AsOf-parity gate asserts per epoch and the `snapshot_delta` bench
-    /// times the delta path against.
+    /// the AsOf-parity gate asserts per epoch and the benchmark checks at
+    /// every tip it reaches.
     pub fn rebuild_full_snapshot(&self) -> Snapshot {
         Snapshot::from_dense_with_marketplaces(
             self.current_meta(),
@@ -777,8 +772,7 @@ impl<'a> StreamAnalyzer<'a> {
     /// profit analyses over the full confirmed set with no cached leaves.
     /// This is the incremental reassembly's reference: the result must be
     /// bit-identical to [`StreamAnalyzer::report`] after every epoch (the
-    /// equivalence suite asserts it), and the `reassemble_scaling` bench
-    /// times the incremental path against it.
+    /// equivalence suite asserts it).
     pub fn rebuild_full_report(&self) -> LiveReport {
         let dataset = self.dataset.dataset();
         let interner = &dataset.interner;

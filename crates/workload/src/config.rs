@@ -98,40 +98,32 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// The standard world sizes the scale-sweep benchmarks run at: named points
-/// on the [`WorkloadConfig::paper_scaled`] axis, so every bench and perf
-/// artifact talks about the same three worlds.
+/// The benchmark's world sizes: named points on the
+/// [`WorkloadConfig::paper_scaled`] axis. `perfbench` defines its workloads
+/// on `Large` and smoke-tests them on `Small`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorldScale {
     /// ~1% of the paper's dataset — a few thousand transfers, builds in
     /// milliseconds; the quick-check size.
     Small,
-    /// ~5% of the paper's dataset — the size of the standard experiments
-    /// workload.
-    Medium,
     /// ~12% of the paper's dataset — tens of thousands of transfers; the
     /// size where stage-level parallelism is worth measuring.
     Large,
 }
 
 impl WorldScale {
-    /// All scales, ascending — the sweep order of the benchmarks.
-    pub const ALL: [WorldScale; 3] = [WorldScale::Small, WorldScale::Medium, WorldScale::Large];
-
     /// The fraction of the paper's 12,413 activities this scale generates.
     pub fn fraction(self) -> f64 {
         match self {
             WorldScale::Small => 0.01,
-            WorldScale::Medium => 0.05,
             WorldScale::Large => 0.12,
         }
     }
 
-    /// The scale's name, as used in bench sections and summary tables.
+    /// The scale's name, as printed in benchmark output.
     pub fn label(self) -> &'static str {
         match self {
             WorldScale::Small => "small",
-            WorldScale::Medium => "medium",
             WorldScale::Large => "large",
         }
     }
@@ -168,11 +160,11 @@ mod tests {
 
     #[test]
     fn world_scales_ascend_and_name_themselves() {
-        assert!(WorldScale::ALL.windows(2).all(|w| w[0].fraction() < w[1].fraction()));
-        for scale in WorldScale::ALL {
+        assert!(WorldScale::Small.fraction() < WorldScale::Large.fraction());
+        for scale in [WorldScale::Small, WorldScale::Large] {
             assert_eq!(scale.config(9), WorkloadConfig::paper_scaled(9, scale.fraction()));
-            assert!(!scale.label().is_empty());
         }
-        assert_eq!(WorldScale::Medium.label(), "medium");
+        assert_eq!(WorldScale::Small.label(), "small");
+        assert_eq!(WorldScale::Large.label(), "large");
     }
 }

@@ -1,41 +1,80 @@
 //! The experiment harness: regenerates every table and figure of the paper's
 //! evaluation from a calibrated synthetic world and prints measured values
-//! side by side with the paper's reported values. Alongside the human tables
-//! it writes machine-readable stage timings and streaming-throughput numbers
-//! into `BENCH_results.json` (override the path with `$BENCH_RESULTS_PATH`),
-//! so the perf trajectory is tracked PR over PR.
+//! side by side with the paper's reported values.
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments -- [scale] [seed] [experiment]
+//! cargo run --release --example experiments -- [scale] [seed] [experiment]
 //! ```
 //!
-//! `experiment` is one of `table1`, `table2`, `table3`, `fig2`, `fig3`,
-//! `fig4`, `fig5`, `fig6`, `fig7`, `serial`, `resale`, or `all` (default).
+//! `scale` (default 0.02) is the fraction of the paper's 12,413 activities to
+//! generate, `seed` defaults to 7, and `experiment` is one of `table1`,
+//! `table2`, `table3`, `fig2`, `fig3`, `fig4`, `fig5`, `fig6`, `fig7`,
+//! `serial`, `resale`, or `all` (default). Invalid arguments print a usage
+//! line and exit with code 2.
 
-use bench_suite::json::Json;
-use bench_suite::results::{merge_section, results_path};
-use bench_suite::{analyze_world, build_world, compare, input_of, paper};
-use washtrade::pipeline::{AnalysisOptions, AnalysisReport};
+use std::process::ExitCode;
+
+use washtrade::pipeline::{analyze, AnalysisInput, AnalysisReport};
 use washtrade::report;
-use washtrade_stream::{StreamAnalyzer, StreamOptions};
-use workload::World;
+use workload::{WorkloadConfig, World};
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.02);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(7);
-    let which = args.next().unwrap_or_else(|| "all".to_string());
+const EXPERIMENTS: [&str; 12] = [
+    "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "serial",
+    "resale", "all",
+];
+
+/// `(scale, seed, experiment)` from the positional arguments, each
+/// defaulted when absent.
+fn parse(args: &[String]) -> Result<(f64, u64, String), String> {
+    let mut args = args.iter();
+    let scale = match args.next() {
+        Some(value) => value
+            .parse()
+            .ok()
+            .filter(|scale: &f64| *scale > 0.0 && scale.is_finite())
+            .ok_or_else(|| format!("invalid scale {value:?}"))?,
+        None => 0.02,
+    };
+    let seed = match args.next() {
+        Some(value) => value.parse().map_err(|_| format!("invalid seed {value:?}"))?,
+        None => 7,
+    };
+    let which = match args.next() {
+        Some(value) if EXPERIMENTS.contains(&value.as_str()) => value.clone(),
+        Some(value) => return Err(format!("unknown experiment {value:?}")),
+        None => "all".to_string(),
+    };
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    Ok((scale, seed, which))
+}
+
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, seed, which) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(error) => {
+            let names = EXPERIMENTS.join("|");
+            eprintln!("experiments: {error}\nusage: experiments [scale > 0] [seed] [{names}]");
+            return Ok(ExitCode::from(2));
+        }
+    };
 
     eprintln!("== generating world: scale {scale}, seed {seed} ==");
-    let world = build_world(scale, seed);
+    let world = World::generate(WorkloadConfig::paper_scaled(seed, scale))?;
     eprintln!(
         "chain: {} transactions, {} planted wash activities",
         world.chain.stats().transactions,
         world.truth.len()
     );
     eprintln!("== running analysis ==");
-    let analysis = analyze_world(&world);
-    write_bench_results(scale, seed, &world, &analysis);
+    let analysis = analyze(AnalysisInput {
+        chain: &world.chain,
+        labels: &world.labels,
+        directory: &world.directory,
+        oracle: &world.oracle,
+    });
 
     let run = |name: &str| which == "all" || which == name;
     if run("table1") {
@@ -71,75 +110,64 @@ fn main() {
     if which == "all" {
         ground_truth(&world, &analysis);
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Record stage timings and a streaming pass into `BENCH_results.json`.
-fn write_bench_results(scale: f64, seed: u64, world: &World, analysis: &AnalysisReport) {
-    let mut meta = Json::object();
-    meta.set("scale", Json::Float(scale));
-    meta.set("seed", Json::Int(seed as i64));
-    meta.set("transactions", Json::Int(world.chain.stats().transactions as i64));
-    meta.set("planted_activities", Json::Int(world.truth.len() as i64));
+/// The paper's reference values, printed beside the measured ones.
+mod paper {
+    /// Table II: share of each marketplace's volume that is wash trading.
+    pub const WASH_SHARE_LOOKSRARE: f64 = 0.8479;
+    /// Table II: OpenSea wash share of its total volume.
+    pub const WASH_SHARE_OPENSEA: f64 = 0.0049;
+    /// Fraction of all wash-trading volume generated on LooksRare.
+    pub const LOOKSRARE_SHARE_OF_WASH_VOLUME: f64 = 0.9741;
+    /// Fig. 2: total activities confirmed by at least one flow method.
+    pub const VENN_TOTAL: usize = 11_454;
+    /// Fig. 2 buckets: (zero-risk only, funder only, exit only, z∩f, z∩e, f∩e, all).
+    pub const VENN_BUCKETS: [usize; 7] = [256, 536, 2_777, 253, 582, 5_020, 2_030];
+    /// Fraction of activities detected by at least two approaches.
+    pub const AT_LEAST_TWO_METHODS: f64 = 0.68;
+    /// Fig. 4: fraction of activities lasting at most one day.
+    pub const LIFETIME_ONE_DAY: f64 = 0.33;
+    /// Fig. 4: fraction of activities lasting less than ten days.
+    pub const LIFETIME_TEN_DAYS: f64 = 0.5167;
+    /// Fig. 6: fraction of activities performed by exactly two accounts.
+    pub const TWO_ACCOUNT_FRACTION: f64 = 0.5986;
+    /// Fig. 7: occurrences per pattern id.
+    pub const PATTERN_OCCURRENCES: [(usize, usize); 12] = [
+        (0, 942),
+        (1, 7_431),
+        (2, 1_592),
+        (3, 786),
+        (4, 17),
+        (5, 450),
+        (6, 146),
+        (7, 134),
+        (8, 9),
+        (9, 4),
+        (10, 115),
+        (11, 22),
+    ];
+    /// §V-D: fraction of involved accounts that are serial wash traders.
+    pub const SERIAL_ACCOUNT_FRACTION: f64 = 0.2716;
+    /// §V-D: fraction of activities involving serial wash traders.
+    pub const SERIAL_ACTIVITY_FRACTION: f64 = 0.7293;
+    /// Table III: success rate of claimed reward-farming activities on
+    /// LooksRare (365 of 457).
+    pub const LOOKSRARE_REWARD_SUCCESS: f64 = 0.80;
+    /// Table III: success rate on Rarible (107 of 113).
+    pub const RARIBLE_REWARD_SUCCESS: f64 = 0.93;
+    /// §VI-B: fraction of resale-venue activities not followed by a sale.
+    pub const NOT_RESOLD_FRACTION: f64 = 0.647;
+    /// §VI-B: fraction of resold activities that profit once fees are counted.
+    pub const RESALE_PROFIT_FRACTION: f64 = 0.504;
+    /// §V-B: fraction of NFTs bought the same day the manipulation started.
+    pub const ACQUIRED_SAME_DAY: f64 = 0.39;
+}
 
-    let stages = Json::Arr(
-        analysis
-            .stage_metrics
-            .iter()
-            .map(|metrics| {
-                let mut stage = Json::object();
-                stage.set("stage", Json::Str(metrics.stage.clone()));
-                stage.set("wall_time_ns", Json::Int(metrics.wall_time_ns as i64));
-                stage.set("items_in", Json::Int(metrics.items_in as i64));
-                stage.set("items_out", Json::Int(metrics.items_out as i64));
-                stage.set("threads", Json::Int(metrics.threads as i64));
-                stage
-            })
-            .collect(),
-    );
-
-    // A streaming pass over the same world: epoch-sliced ingestion with the
-    // straddling plan, recording per-epoch latency and overall throughput.
-    let input = input_of(world);
-    let plan = world.epoch_plan(8);
-    let started = std::time::Instant::now();
-    let mut live =
-        StreamAnalyzer::new(input, StreamOptions::from_analysis(AnalysisOptions::default()));
-    let mut epochs = Vec::new();
-    for budget in plan.budgets() {
-        if let Some(delta) = live.ingest_epoch(budget) {
-            let mut epoch = Json::object();
-            epoch.set("blocks", Json::Int(delta.blocks() as i64));
-            epoch.set("transfers", Json::Int(delta.transfers as i64));
-            epoch.set("dirty_nfts", Json::Int(delta.dirty_nfts as i64));
-            epoch.set("total_nfts", Json::Int(delta.total_nfts as i64));
-            epoch.set("new_suspects", Json::Int(delta.new_suspects.len() as i64));
-            epoch.set("wall_time_ns", Json::Int(delta.wall_time_ns as i64));
-            epochs.push(epoch);
-        }
-    }
-    let stream_ns = started.elapsed().as_nanos() as i64;
-    let blocks = world.chain.current_block_number().0 + 1;
-    let batch_ns: i64 =
-        analysis.stage_metrics.iter().map(|metrics| metrics.wall_time_ns as i64).sum();
-    let mut streaming = Json::object();
-    streaming.set("epochs", Json::Arr(epochs));
-    streaming.set("blocks", Json::Int(blocks as i64));
-    streaming.set("stream_total_ns", Json::Int(stream_ns));
-    streaming.set("blocks_per_sec", Json::Float(blocks as f64 / (stream_ns.max(1) as f64 / 1e9)));
-    streaming.set("batch_stage_total_ns", Json::Int(batch_ns));
-    streaming.set(
-        "confirmed_matches_batch",
-        Json::Bool(live.report().detection.confirmed.len() == analysis.detection.confirmed.len()),
-    );
-
-    let path = results_path();
-    let written = merge_section(&path, "meta", meta)
-        .and_then(|()| merge_section(&path, "stages", stages))
-        .and_then(|()| merge_section(&path, "streaming", streaming));
-    match written {
-        Ok(()) => eprintln!("== wrote {} ==", path.display()),
-        Err(error) => eprintln!("== could not write {}: {error} ==", path.display()),
-    }
+/// Format a measured-vs-paper comparison line.
+fn compare(label: &str, measured: f64, paper: f64, unit: &str) -> String {
+    format!("  {label:<52} measured: {measured:>10.3}{unit}   paper: {paper:>10.3}{unit}")
 }
 
 fn table1(analysis: &AnalysisReport) {
@@ -451,4 +479,41 @@ fn ground_truth(world: &World, analysis: &AnalysisReport) {
         recalled as f64 / planted.len().max(1) as f64 * 100.0,
         detected.difference(&planted).count()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|arg| arg.to_string()).collect()
+    }
+
+    #[test]
+    fn paper_venn_buckets_sum_to_total() {
+        assert_eq!(paper::VENN_BUCKETS.iter().sum::<usize>(), paper::VENN_TOTAL);
+    }
+
+    #[test]
+    fn arguments_default_and_parse() {
+        assert_eq!(parse(&args(&[])), Ok((0.02, 7, "all".to_string())));
+        assert_eq!(parse(&args(&["0.01", "3", "fig7"])), Ok((0.01, 3, "fig7".to_string())));
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        for bad in [
+            &["abc"][..],
+            &["0"],
+            &["-0.5"],
+            &["inf"],
+            &["NaN"],
+            &["0.01", "x"],
+            &["0.01", "-1"],
+            &["0.01", "7", "nosuch"],
+            &["0.01", "7", "all", "extra"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
 }
