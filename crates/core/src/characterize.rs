@@ -3,7 +3,7 @@
 //! patterns and serial wash traders.
 //!
 //! The computation runs on dense activities and the columnar dataset —
-//! accumulators are `Vec`s and bitsets indexed by [`AccountId`]/[`NftKey`],
+//! accumulators are `Vec`s and bitsets indexed by [`AccountId`](ids::AccountId)/[`NftKey`],
 //! not address-keyed maps — and resolves to addresses only in the output
 //! structs. Every floating-point sum accumulates in a fixed order derived
 //! from the data (sorted NFT identity, candidate order), never from map
@@ -359,6 +359,7 @@ pub fn characterize_with(
         activity_facts(&activity.candidate, dataset, directory, oracle, &catalogue)
     });
     let baseline = characterize_baseline(activities, dataset, directory, oracle, executor);
+    let facts: Vec<&ActivityFacts> = facts.iter().collect();
     characterize_from_parts(activities, &facts, baseline)
 }
 
@@ -368,10 +369,11 @@ pub fn characterize_with(
 /// [`Characterization`]. Every floating-point fold here accumulates cached
 /// leaf values in exactly the order the one-level path accumulated freshly
 /// computed ones, so batch, batch-parallel and streaming-incremental callers
-/// produce bit-identical reports.
+/// produce bit-identical reports. Facts are borrowed, so a caller holding
+/// them in a cache (the streaming analyzer) hands them over without a copy.
 pub fn characterize_from_parts(
     activities: &[DenseActivity],
-    facts: &[ActivityFacts],
+    facts: &[&ActivityFacts],
     baseline: CharacterizeBaseline,
 ) -> Characterization {
     assert_eq!(activities.len(), facts.len(), "one facts record per activity");
@@ -385,7 +387,7 @@ pub fn characterize_from_parts(
         volume_usd: f64,
         activity_volumes_usd: Vec<f64>,
     }
-    let mut per_market: HashMap<String, MarketAccumulator> = HashMap::new();
+    let mut per_market: HashMap<&str, MarketAccumulator> = HashMap::new();
     let mut total_volume_usd = 0.0;
     let mut total_volume_eth = 0.0;
 
@@ -393,7 +395,7 @@ pub fn characterize_from_parts(
         total_volume_usd += facts.volume_usd;
         total_volume_eth += facts.volume_eth;
         let accumulator =
-            per_market.entry(facts.market_name.clone()).or_insert_with(|| MarketAccumulator {
+            per_market.entry(facts.market_name.as_str()).or_insert_with(|| MarketAccumulator {
                 nfts: BitSet::new(),
                 activities: 0,
                 volume_eth: 0.0,
@@ -410,12 +412,12 @@ pub fn characterize_from_parts(
     let mut per_marketplace: Vec<MarketplaceWashRow> = per_market
         .iter()
         .map(|(name, accumulator)| MarketplaceWashRow {
-            name: name.clone(),
+            name: name.to_string(),
             nfts: accumulator.nfts.len(),
             activities: accumulator.activities,
             volume_eth: accumulator.volume_eth,
             volume_usd: accumulator.volume_usd,
-            share_of_marketplace_volume: market_totals.get(name).map(|total| {
+            share_of_marketplace_volume: market_totals.get(*name).map(|total| {
                 if *total > 0.0 {
                     accumulator.volume_usd / total
                 } else {
@@ -430,7 +432,7 @@ pub fn characterize_from_parts(
     // Fig. 3: per-marketplace activity volume CDFs plus the legit baseline.
     let mut volume_cdfs: HashMap<String, Cdf> = per_market
         .into_iter()
-        .map(|(name, accumulator)| (name, Cdf::new(accumulator.activity_volumes_usd)))
+        .map(|(name, accumulator)| (name.to_string(), Cdf::new(accumulator.activity_volumes_usd)))
         .collect();
     volume_cdfs.insert("Volume w/o wash trading".to_string(), legit_volume_cdf);
 
@@ -457,16 +459,22 @@ pub fn characterize_from_parts(
     let acquired_base = activities.len().max(1) as f64;
 
     struct TimelineAccumulator {
-        nfts: BitSet,
+        affected_nfts: usize,
         volume_usd: f64,
         times: Vec<Timestamp>,
     }
+    // An NFT belongs to exactly one collection (its contract), so one
+    // seen-NFT set counts every collection's distinct NFTs — instead of a
+    // bitset per collection, each grown to the highest NFT index it meets.
+    let mut seen_nfts = BitSet::new();
     let mut per_collection: HashMap<Address, TimelineAccumulator> = HashMap::new();
     for (activity, facts) in activities.iter().zip(facts) {
         let accumulator = per_collection.entry(facts.collection).or_insert_with(|| {
-            TimelineAccumulator { nfts: BitSet::new(), volume_usd: 0.0, times: Vec::new() }
+            TimelineAccumulator { affected_nfts: 0, volume_usd: 0.0, times: Vec::new() }
         });
-        accumulator.nfts.insert(activity.nft().index());
+        if seen_nfts.insert(activity.nft().index()) {
+            accumulator.affected_nfts += 1;
+        }
         accumulator.volume_usd += facts.volume_usd;
         accumulator.times.push(facts.first_trade);
     }
@@ -481,7 +489,7 @@ pub fn characterize_from_parts(
                     .get(&collection)
                     .copied()
                     .unwrap_or(Timestamp::from_secs(0)),
-                affected_nfts: accumulator.nfts.len(),
+                affected_nfts: accumulator.affected_nfts,
                 volume_usd: accumulator.volume_usd,
                 activity_times,
             }

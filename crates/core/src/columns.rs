@@ -18,7 +18,7 @@
 //!
 //! Dense ids resolve back to addresses only at the report boundary, through
 //! [`TransferColumns::resolve`], which materializes the compatibility view
-//! type [`NftTransfer`](crate::dataset::NftTransfer).
+//! type [`NftTransfer`].
 
 use ethsim::{BlockNumber, Timestamp, TxHash, Wei};
 use ids::{AccountId, Interner, MarketId, NftKey};

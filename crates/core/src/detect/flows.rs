@@ -8,7 +8,7 @@
 //! and receive from thousands of unrelated users.
 //!
 //! Both heuristics are the same computation with the flow direction
-//! reversed, so they share [`common_flow`]: collect the counterparties of
+//! reversed, so they share `common_flow`: collect the counterparties of
 //! each colluding account's qualifying transactions, then pick the account
 //! that touches the most colluders. Per-counterparty colluder sets are
 //! [`BitSet`]s over component-local positions — the counterparty key itself

@@ -20,7 +20,7 @@
 //! 4. [`detect`] — confirm wash trading through five signals: zero-risk
 //!    position, common funder, common exit, self-trades and leveraging of
 //!    previously confirmed account sets; compare the methods (§IV-C/D).
-//! 5. [`characterize`] — volumes per marketplace and collection, lifetimes,
+//! 5. [`characterize`](mod@characterize) — volumes per marketplace and collection, lifetimes,
 //!    participation patterns, serial traders (§V, Tables II, Figs. 3–7).
 //! 6. [`profit`] — reward-system exploitation (Table III) and resale
 //!    profitability (§VI).

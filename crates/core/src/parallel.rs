@@ -30,8 +30,9 @@ impl Default for Executor {
 
 impl Executor {
     /// Create an executor with a thread budget; `0` means "one thread per
-    /// available core", the convention [`AnalysisOptions::threads`]
-    /// (crate::pipeline::AnalysisOptions) follows.
+    /// available core", the convention
+    /// [`AnalysisOptions::threads`](crate::pipeline::AnalysisOptions::threads)
+    /// follows.
     pub fn new(threads: usize) -> Self {
         let threads = match NonZeroUsize::new(threads) {
             Some(explicit) => explicit,

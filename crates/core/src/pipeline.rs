@@ -10,7 +10,7 @@
 //! entity once, the graph table is indexed by [`ids::NftKey`]
 //! (`graphs[key.index()]` — no keyed map anywhere), and refinement/detection
 //! carry [`DenseCandidate`]/[`DenseDetectionOutcome`]. Resolution back to
-//! addresses happens exactly once, in [`AnalysisContext::into_report`], so
+//! addresses happens exactly once, in `AnalysisContext::into_report`, so
 //! the public [`AnalysisReport`] is identical to the address-keyed
 //! pipeline's output bit for bit.
 

@@ -1,5 +1,5 @@
 //! Plain-text rendering of the paper's tables and figures from an
-//! [`AnalysisReport`](crate::pipeline::AnalysisReport), used by the
+//! [`AnalysisReport`], used by the
 //! `experiments` binary and the examples.
 
 use std::fmt::Write as _;

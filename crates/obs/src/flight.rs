@@ -2,7 +2,7 @@
 //! "what happened in the last few seconds" answer, dumped on demand, on
 //! panic, or when a health rule fires.
 //!
-//! The ring generalizes the event ring in [`crate::events`]: writers claim a
+//! The ring generalizes the crate's event ring (`events`): writers claim a
 //! monotonically increasing index with one atomic `fetch_add`, then store the
 //! record into slot `index % capacity` behind a per-slot mutex (uncontended
 //! except when two writers race a full lap apart). A slot only accepts a

@@ -86,8 +86,8 @@ pub fn event(name: &'static str, detail: String) {
     events::record(name.to_string(), detail);
 }
 
-/// Record an event with a dynamically built name, mirroring [`span`] and
-/// [`histogram`]: `obs::event_dynamic(&format!("workload.scenario.{kind}"),
+/// Record an event with a dynamically built name, mirroring [`span`](fn@span)
+/// and [`histogram`](fn@histogram): `obs::event_dynamic(&format!("workload.scenario.{kind}"),
 /// detail)`. Pays one extra allocation per call; events are coarse
 /// milestones, never per-query.
 pub fn event_dynamic(name: &str, detail: String) {

@@ -18,7 +18,9 @@
 //! dense-id form until the per-epoch [`LiveReport`] is assembled — the same
 //! single resolve-at-report-boundary point the batch pipeline uses.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use ethsim::{Address, BlockNumber, Timestamp, Wei};
@@ -31,7 +33,7 @@ use washtrade::characterize::{
     CharacterizeBaseline,
 };
 use washtrade::dataset::NftMarketLeaves;
-use washtrade::detect::{DenseActivity, DetectionOutcome, Detector, MethodSet};
+use washtrade::detect::{ConfirmedActivity, DenseActivity, DetectionOutcome, Detector, MethodSet};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::AnalysisInput;
 use washtrade::profit::{
@@ -244,15 +246,19 @@ pub struct StreamAnalyzer<'a> {
     collection_created: HashMap<Address, Timestamp>,
     /// Maintained Fig. 3 legit-volume baseline multiset.
     legit: LegitVolumeSet,
-    confirmed_nfts: BTreeSet<NftId>,
-    first_confirmed: HashMap<NftId, BlockNumber>,
+    /// Exactly the currently confirmed NFTs, each with the last block of
+    /// the epoch that (most recently) confirmed it — the suspect-log input
+    /// of every published snapshot. Maintained from each epoch's group
+    /// diff: inserted when an NFT's group appears, removed when it goes.
+    confirmed_at: HashMap<NftId, BlockNumber>,
     /// The confirmed activities still in dense-id form — what each epoch's
-    /// snapshot is built from (the publication seam's input).
+    /// snapshot is built from (the publication seam's input). Aligned 1:1
+    /// with `live.detection.confirmed`, its resolved twin.
     dense_confirmed: Vec<DenseActivity>,
-    /// NFTs whose confirmed activities changed in the last reassembly,
-    /// computed by diffing consecutive dense confirmed sets. This is the
-    /// delta-build contract: diffing outcomes (not the dirty set) also
-    /// catches leverage-pass flips on NFTs whose own graphs were untouched.
+    /// NFTs whose confirmed activities changed in the last reassembly, read
+    /// off the epoch's [`GroupChange`] diff. This is the delta-build
+    /// contract: diffing outcomes (not the dirty set) also catches
+    /// leverage-pass flips on NFTs whose own graphs were untouched.
     changed_nfts: BTreeSet<NftId>,
     /// The snapshot this analyzer last published — the delta-encoding base
     /// for the next epoch. `None` until the first publish (an inherited
@@ -320,8 +326,7 @@ impl<'a> StreamAnalyzer<'a> {
             tx_ids: TxIds::new(),
             collection_created: HashMap::new(),
             legit: LegitVolumeSet::new(),
-            confirmed_nfts: BTreeSet::new(),
-            first_confirmed: HashMap::new(),
+            confirmed_at: HashMap::new(),
             dense_confirmed: Vec::new(),
             changed_nfts: BTreeSet::new(),
             last_snapshot: None,
@@ -448,24 +453,28 @@ impl<'a> StreamAnalyzer<'a> {
         }
 
         let reassemble_started = Instant::now();
-        self.reassemble(span.last);
+        let changes = self.reassemble(span.last);
         let reassemble_ns =
             u64::try_from(reassemble_started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX);
 
-        // Delta bookkeeping.
-        let now_confirmed: BTreeSet<NftId> =
-            self.live.detection.confirmed.iter().map(|activity| activity.nft()).collect();
-        let new_suspects: Vec<NftId> =
-            now_confirmed.difference(&self.confirmed_nfts).copied().collect();
-        let lost_suspects = self.confirmed_nfts.difference(&now_confirmed).count();
-        for nft in &new_suspects {
-            // Plain insert, not or_insert: an NFT that lost its confirmation
-            // and regained it later must report the *latest* transition, so
-            // `suspects_since` stays consistent with the epoch delta that
-            // just listed it under `new_suspects`.
-            self.first_confirmed.insert(*nft, span.last);
+        // Delta bookkeeping, from the group diff alone: a group absent on
+        // the previous side is a new suspect, one absent on the current side
+        // a lost one. Changes come in ascending NFT order, so `new_suspects`
+        // is sorted. An NFT that lost its confirmation and regains it later
+        // is re-inserted with the *latest* transition, so `suspects_since`
+        // stays consistent with the epoch delta that lists it.
+        let mut new_suspects = Vec::new();
+        let mut lost_suspects = 0usize;
+        for change in &changes {
+            if change.previous.is_empty() {
+                self.confirmed_at.insert(change.nft, span.last);
+                new_suspects.push(change.nft);
+            } else if change.current.is_empty() {
+                self.confirmed_at.remove(&change.nft);
+                lost_suspects += 1;
+            }
         }
-        self.confirmed_nfts = now_confirmed;
+        self.changed_nfts = changes.iter().map(|change| change.nft).collect();
 
         let delta = EpochDelta {
             index: self.live.epochs.len(),
@@ -524,28 +533,28 @@ impl<'a> StreamAnalyzer<'a> {
 
     /// Build the read-side [`Snapshot`] for the just-ingested epoch and swap
     /// it into the publisher — the publication seam between ingestion and
-    /// the concurrent readers. Confirmation blocks are restricted to the
-    /// currently confirmed set, so the snapshot's suspect log answers
-    /// `suspects_since` exactly as the pre-index linear scan did. The
-    /// per-marketplace rollup rows are reused from the characterization this
-    /// epoch just re-assembled (they are bit-identical to what the snapshot
-    /// would re-derive) instead of re-scanning every transfer for venue
-    /// totals.
+    /// the concurrent readers. Confirmation blocks come from the maintained
+    /// `confirmed_at` map, which holds exactly the currently confirmed NFTs,
+    /// so the snapshot's suspect log answers `suspects_since` exactly as the
+    /// pre-index linear scan did; it is patched from the group diff, never
+    /// rebuilt. The per-marketplace rollup rows are reused from the
+    /// characterization this epoch just re-assembled (they are bit-identical
+    /// to what the snapshot would re-derive) instead of re-scanning every
+    /// transfer for venue totals.
     ///
     /// Cost: the snapshot is **delta-encoded** against the one this analyzer
     /// last published. The expensive per-activity resolution (USD pricing,
     /// dominant venue, pattern classification, address resolution) runs only
-    /// for the NFTs in `changed_nfts`; every unchanged NFT shares the
-    /// previous epoch's resolved segment by `Arc` clone, and a quiet epoch
-    /// shares every index wholesale. The first epoch of a generation (or
-    /// one inheriting a foreign snapshot through
-    /// [`StreamAnalyzer::with_publisher`]) pays one full build. Either path
-    /// publishes a snapshot bit-identical to
+    /// for the NFTs in `changed_nfts` — the changed groups of the epoch's
+    /// diff; every unchanged NFT shares the previous epoch's resolved
+    /// segment by `Arc` clone, and a quiet epoch shares every index
+    /// wholesale. The first epoch of a generation (or one inheriting a
+    /// foreign snapshot through [`StreamAnalyzer::with_publisher`]) pays one
+    /// full build. Either path publishes a snapshot bit-identical to
     /// [`StreamAnalyzer::rebuild_full_snapshot`] — the AsOf-parity gate's
     /// invariant.
     fn publish_snapshot(&mut self) {
         let mut publish_trace = obs::trace::span("serve.publish");
-        let confirmed_at = self.current_confirmed_at();
         let meta = self.current_meta();
         let marketplaces = self.live.characterization.per_marketplace.clone();
         let wash_volumes = Some(self.current_wash_volumes());
@@ -557,7 +566,7 @@ impl<'a> StreamAnalyzer<'a> {
                 self.dataset.dataset(),
                 self.input.directory,
                 self.input.oracle,
-                &confirmed_at,
+                &self.confirmed_at,
                 marketplaces,
                 &self.changed_nfts,
                 wash_volumes,
@@ -568,7 +577,7 @@ impl<'a> StreamAnalyzer<'a> {
                 self.dataset.dataset(),
                 self.input.directory,
                 self.input.oracle,
-                &confirmed_at,
+                &self.confirmed_at,
                 marketplaces,
                 wash_volumes,
             ),
@@ -580,16 +589,6 @@ impl<'a> StreamAnalyzer<'a> {
         publish_trace.finish();
         self.last_snapshot = Some(snapshot.clone());
         self.publisher.publish(snapshot);
-    }
-
-    /// Confirmation blocks of the currently confirmed NFTs — the suspect-log
-    /// input of the next published snapshot.
-    fn current_confirmed_at(&self) -> HashMap<NftId, BlockNumber> {
-        self.first_confirmed
-            .iter()
-            .filter(|(nft, _)| self.confirmed_nfts.contains(*nft))
-            .map(|(nft, block)| (*nft, *block))
-            .collect()
     }
 
     /// Version stamp of the next (or just-) published snapshot.
@@ -612,7 +611,7 @@ impl<'a> StreamAnalyzer<'a> {
             self.dataset.dataset(),
             self.input.directory,
             self.input.oracle,
-            &self.current_confirmed_at(),
+            &self.confirmed_at,
             self.live.characterization.per_marketplace.clone(),
             Some(self.current_wash_volumes()),
         )
@@ -645,10 +644,18 @@ impl<'a> StreamAnalyzer<'a> {
     /// per-candidate and per-row value is read from a maintained cache, and
     /// only the final folds (which replay the exact batch accumulation order,
     /// so every float comes out bit-identical) run over the full suspect set.
-    /// Candidates stay dense throughout; the resolved [`DetectionOutcome`]
-    /// for the [`LiveReport`] is produced at the end — the same single
-    /// resolution point the batch report assembly uses.
-    fn reassemble(&mut self, last_block: BlockNumber) {
+    ///
+    /// Right after detection, one walk diffs the new dense confirmed list
+    /// against the previous one per NFT group ([`confirmed_group_diff`]),
+    /// and the confirmed-set bookkeeping then runs over the changed groups
+    /// only: the legit-volume flips, and the resolved [`DetectionOutcome`]
+    /// of the [`LiveReport`], which keeps the previous epoch's resolved
+    /// activities for every unchanged group and resolves only the changed
+    /// ones. Both are exact — an unchanged group contributes nothing to the
+    /// refcount delta, and the interner is append-only, so equal dense
+    /// groups resolve to equal activities. Returns the diff, which also
+    /// drives the caller's suspect transitions and the snapshot delta.
+    fn reassemble(&mut self, last_block: BlockNumber) -> Vec<GroupChange> {
         let _reassemble_span = obs::span!("stream.reassemble_ns");
         let _reassemble_trace = obs::trace::span("stream.reassemble");
         let dataset = self.dataset.dataset();
@@ -680,6 +687,7 @@ impl<'a> StreamAnalyzer<'a> {
         let (detection, confirmed_indices) = Detector::assemble_indexed(&pairs);
         let confirmed_facts: Vec<&CandidateFacts> =
             confirmed_indices.iter().map(|&index| pair_facts[index as usize]).collect();
+        let changes = confirmed_group_diff(&self.dense_confirmed, &detection.confirmed, interner);
         drop(_detect_span);
 
         // §V: characterization from cached leaves + maintained baselines.
@@ -708,10 +716,14 @@ impl<'a> StreamAnalyzer<'a> {
             self.nft_id_order = merged;
             self.known_keys = nft_count;
         }
-        // Fig. 3 baseline: price only the new rows, flip only the rows whose
-        // wash status the confirmed-set transition changed.
+        // Fig. 3 baseline: price only the new rows, and flip only the rows
+        // whose wash status the changed groups' transition changed.
         self.legit.append_rows(dataset, oracle);
-        self.legit.apply_confirmed_delta(&self.dense_confirmed, &detection.confirmed);
+        let previous = &self.dense_confirmed;
+        self.legit.apply_confirmed_delta(
+            changes.iter().flat_map(|change| &previous[change.previous.clone()]),
+            changes.iter().flat_map(|change| &detection.confirmed[change.current.clone()]),
+        );
         // Table I totals: replay the batch fold over cached per-NFT leaves in
         // the same id-sorted order (only dirty NFTs were repriced). Dense
         // transaction ids make the per-transaction dedup a bitset probe, but
@@ -729,8 +741,8 @@ impl<'a> StreamAnalyzer<'a> {
             legit_volume_cdf: self.legit.cdf(),
             collection_created: self.collection_created.clone(),
         };
-        let facts: Vec<ActivityFacts> =
-            confirmed_facts.iter().map(|facts| facts.characterize.clone()).collect();
+        let facts: Vec<&ActivityFacts> =
+            confirmed_facts.iter().map(|facts| &facts.characterize).collect();
         self.live.characterization =
             characterize_from_parts(&detection.confirmed, &facts, baseline);
         drop(_characterize_span);
@@ -746,19 +758,22 @@ impl<'a> StreamAnalyzer<'a> {
                 reduce_resales(confirmed_facts.iter().filter_map(|facts| facts.resale.as_ref()));
         }
 
-        self.live.detection = detection.resolve(interner);
-        let previous = std::mem::replace(&mut self.dense_confirmed, detection.confirmed);
-        // The next snapshot's delta base: which NFTs' confirmed activities
-        // actually changed. Diffing outcomes (rather than trusting the dirty
-        // set) is what makes the delta build safe against the leverage pass,
-        // which can flip an NFT whose own graph never changed.
-        self.changed_nfts = changed_suspects(&previous, &self.dense_confirmed, interner);
+        let previous_resolved = std::mem::take(&mut self.live.detection.confirmed);
+        self.live.detection = DetectionOutcome {
+            confirmed: patch_resolved(previous_resolved, &detection.confirmed, &changes, interner),
+            rejected: detection.rejected,
+            venn: detection.venn,
+            leveraged_only: detection.leveraged_only,
+            self_trades: detection.self_trades,
+        };
+        self.dense_confirmed = detection.confirmed;
         self.live.dataset_nfts = dataset.nft_count();
         self.live.dataset_transfers = dataset.transfer_count();
         self.live.raw_transfer_events = dataset.raw_transfer_events;
         self.live.compliant_contracts = dataset.compliant_contracts.len();
         self.live.non_compliant_contracts = dataset.non_compliant_contracts.len();
         self.live.watermark = BlockNumber(last_block.0 + 1);
+        changes
     }
 
     /// The live report as of the last ingested epoch.
@@ -903,19 +918,32 @@ impl<'a> StreamAnalyzer<'a> {
     }
 }
 
-/// The NFTs whose confirmed activity groups differ between two consecutive
-/// dense confirmed sets — the delta-build `changed` contract. Both inputs
-/// are in confirmed order (sorted by `(resolved NFT, first account)`), so
-/// this is a linear merge over per-NFT groups; a group present on only one
-/// side (new or lost suspect) is changed, a group present on both sides is
-/// changed iff its dense activities differ. Dense keys are stable (the
-/// interner is append-only), so equal dense groups resolve to identical
-/// serving records.
-fn changed_suspects(
+/// One NFT whose confirmed activity group differs between two consecutive
+/// dense confirmed lists: the group's index range in each list. On the side
+/// where the NFT is absent the range is empty, placed where the group would
+/// sit, so the stretches between consecutive changes line up one to one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GroupChange {
+    nft: NftId,
+    previous: Range<usize>,
+    current: Range<usize>,
+}
+
+/// The per-NFT group diff of two consecutive dense confirmed lists, in
+/// ascending NFT order — the one walk over the confirmed set that every
+/// piece of confirmed-set bookkeeping reads: the legit-volume flips, the
+/// resolved-report patch, the suspect transitions and the snapshot's
+/// changed set. Both inputs are in confirmed order (sorted by `(resolved
+/// NFT, first account)`), so this is a linear merge over per-NFT groups; a
+/// group present on only one side (new or lost suspect) is changed, a group
+/// present on both sides is changed iff its dense activities differ. Dense
+/// keys are bijective with NFT ids, so equal keys need no resolution; only a
+/// mismatch resolves both to order them.
+fn confirmed_group_diff(
     previous: &[DenseActivity],
     current: &[DenseActivity],
     interner: &ids::Interner,
-) -> BTreeSet<NftId> {
+) -> Vec<GroupChange> {
     fn group_end(activities: &[DenseActivity], start: usize) -> usize {
         let key = activities[start].candidate.nft;
         let mut end = start + 1;
@@ -924,39 +952,186 @@ fn changed_suspects(
         }
         end
     }
-    let mut changed = BTreeSet::new();
+    let mut changes = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < previous.len() || j < current.len() {
-        let prev_nft = (i < previous.len()).then(|| interner.nft(previous[i].candidate.nft));
-        let cur_nft = (j < current.len()).then(|| interner.nft(current[j].candidate.nft));
-        match (prev_nft, cur_nft) {
-            (Some(prev), Some(cur)) if prev == cur => {
-                let prev_end = group_end(previous, i);
-                let cur_end = group_end(current, j);
-                if previous[i..prev_end] != current[j..cur_end] {
-                    changed.insert(cur);
-                }
-                i = prev_end;
-                j = cur_end;
-            }
-            (Some(prev), Some(cur)) if prev < cur => {
-                changed.insert(prev);
-                i = group_end(previous, i);
-            }
-            (Some(_), Some(cur)) => {
-                changed.insert(cur);
-                j = group_end(current, j);
-            }
-            (Some(prev), None) => {
-                changed.insert(prev);
-                i = group_end(previous, i);
-            }
-            (None, Some(cur)) => {
-                changed.insert(cur);
-                j = group_end(current, j);
-            }
-            (None, None) => unreachable!("loop condition"),
+        let prev_key = previous.get(i).map(|activity| activity.candidate.nft);
+        let cur_key = current.get(j).map(|activity| activity.candidate.nft);
+        let order = match (prev_key, cur_key) {
+            (Some(prev), Some(cur)) if prev == cur => Ordering::Equal,
+            (Some(prev), Some(cur)) => interner.nft(prev).cmp(&interner.nft(cur)),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
+        };
+        let (prev_end, cur_end) = match order {
+            Ordering::Equal => (group_end(previous, i), group_end(current, j)),
+            Ordering::Less => (group_end(previous, i), j),
+            Ordering::Greater => (i, group_end(current, j)),
+        };
+        if previous[i..prev_end] != current[j..cur_end] {
+            let key = if prev_end > i { &previous[i] } else { &current[j] }.candidate.nft;
+            changes.push(GroupChange {
+                nft: interner.nft(key),
+                previous: i..prev_end,
+                current: j..cur_end,
+            });
+        }
+        i = prev_end;
+        j = cur_end;
+    }
+    changes
+}
+
+/// The resolved twin of `current`, patched from `previous` — the resolved
+/// twin of the list `changes` was diffed against: every unchanged stretch
+/// moves over as is, and only the changed groups are resolved. Exact
+/// because the interner is append-only, so an unchanged dense group
+/// resolves to the activities it resolved to before.
+fn patch_resolved(
+    previous: Vec<ConfirmedActivity>,
+    current: &[DenseActivity],
+    changes: &[GroupChange],
+    interner: &ids::Interner,
+) -> Vec<ConfirmedActivity> {
+    let mut previous = previous.into_iter();
+    let mut resolved = Vec::with_capacity(current.len());
+    let mut at = 0;
+    for change in changes {
+        resolved.extend(previous.by_ref().take(change.current.start - at));
+        previous.by_ref().take(change.previous.len()).for_each(drop);
+        resolved.extend(current[change.current.clone()].iter().map(|a| a.resolve(interner)));
+        at = change.current.end;
+    }
+    resolved.extend(previous);
+    assert_eq!(resolved.len(), current.len(), "patched report misaligned");
+    resolved
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ethsim::TxHash;
+    use ids::Interner;
+    use washtrade::txgraph::DenseTradeEdge;
+
+    /// A one-sale self-trade on `nft` by `account`, priced `eth`.
+    fn activity(interner: &mut Interner, nft: NftId, account: &str, eth: u64) -> DenseActivity {
+        let account = interner.intern_account(Address::derived(account));
+        let edge = DenseTradeEdge {
+            timestamp: Timestamp::from_secs(eth),
+            tx_hash: TxHash::hash_of(format!("{nft:?}-{eth}").as_bytes()),
+            marketplace: None,
+            price: Wei::from_eth(eth as f64),
+        };
+        DenseActivity {
+            candidate: DenseCandidate {
+                nft: interner.intern_nft(nft),
+                accounts: vec![account],
+                volume: edge.price,
+                first_trade: edge.timestamp,
+                last_trade: edge.timestamp,
+                internal_edges: vec![(account, account, edge)],
+            },
+            methods: MethodSet { self_trade: true, ..MethodSet::default() },
         }
     }
-    changed
+
+    #[test]
+    fn group_diff_reports_changed_groups_with_aligned_ranges() {
+        let mut interner = Interner::new();
+        let mut nfts: Vec<NftId> =
+            (0..7).map(|token| NftId::new(Address::derived("diff"), token)).collect();
+        nfts.sort();
+        // Intern in descending identity order, so dense-key order disagrees
+        // with the confirmed (identity) order the diff must follow.
+        for nft in nfts.iter().rev() {
+            interner.intern_nft(*nft);
+        }
+        let [a, b, c, d, e, f, g] = nfts[..] else { unreachable!() };
+        let previous = vec![
+            activity(&mut interner, a, "x", 1),
+            activity(&mut interner, b, "x", 2),
+            activity(&mut interner, b, "y", 3),
+            activity(&mut interner, c, "x", 4),
+            activity(&mut interner, e, "x", 5),
+            activity(&mut interner, f, "x", 6),
+        ];
+        let current = vec![
+            activity(&mut interner, a, "x", 1),
+            activity(&mut interner, b, "x", 2),
+            activity(&mut interner, d, "x", 7),
+            activity(&mut interner, e, "x", 5),
+            activity(&mut interner, g, "x", 8),
+        ];
+        let change = |nft, previous, current| GroupChange { nft, previous, current };
+        let changes = confirmed_group_diff(&previous, &current, &interner);
+        assert_eq!(
+            changes,
+            vec![
+                change(b, 1..3, 1..2), // lost one of two activities
+                change(c, 3..4, 2..2), // lost suspect, mid-list
+                change(d, 4..4, 2..3), // new suspect, mid-list
+                change(f, 5..6, 4..4), // lost suspect, at the end
+                change(g, 6..6, 4..5), // new suspect, at the end
+            ]
+        );
+
+        let resolve_all = |list: &[DenseActivity]| -> Vec<ConfirmedActivity> {
+            list.iter().map(|activity| activity.resolve(&interner)).collect()
+        };
+        let patched = patch_resolved(resolve_all(&previous), &current, &changes, &interner);
+        assert_eq!(patched, resolve_all(&current));
+
+        // Identical lists diff to nothing; from and to an empty list every
+        // group changes.
+        assert!(confirmed_group_diff(&current, &current, &interner).is_empty());
+        let from_empty = confirmed_group_diff(&[], &current, &interner);
+        assert!(from_empty.iter().all(|change| change.previous == (0..0)));
+        assert_eq!(patch_resolved(Vec::new(), &current, &from_empty, &interner), patched);
+        let to_empty = confirmed_group_diff(&current, &[], &interner);
+        assert_eq!(to_empty.len(), 5);
+        assert!(patch_resolved(patched, &[], &to_empty, &interner).is_empty());
+    }
+
+    /// `confirmed_at` holds exactly the confirmed NFTs, each dated by the
+    /// epoch that last listed it as a new suspect. The snapshot only looks
+    /// up confirmed NFTs, so a stale entry would never show in a query —
+    /// only as unbounded growth. The world and epoch size are those of the
+    /// equivalence suite's adversarial fixture, which loses suspects.
+    #[test]
+    fn confirmed_at_holds_exactly_the_confirmed_nfts() {
+        let world = workload::World::generate(workload::WorkloadConfig {
+            seed: 11,
+            duration_days: 80,
+            collections: 4,
+            non_compliant_collections: 1,
+            erc1155_collections: 1,
+            dex_position_nfts: 2,
+            legit_traders: 12,
+            legit_sales: 30,
+            zero_volume_shuffles: 2,
+            wash_activities: 10,
+            serial_trader_fraction: 0.3,
+            ..workload::WorkloadConfig::small(11)
+        })
+        .expect("world");
+        let input = AnalysisInput {
+            chain: &world.chain,
+            labels: &world.labels,
+            directory: &world.directory,
+            oracle: &world.oracle,
+        };
+        let mut live = StreamAnalyzer::new(input, StreamOptions::single_threaded());
+        let mut dated: HashMap<NftId, BlockNumber> = HashMap::new();
+        let mut lost = 0;
+        while let Some(delta) = live.ingest_epoch(7) {
+            dated.extend(delta.new_suspects.iter().map(|nft| (*nft, delta.last_block)));
+            let confirmed: BTreeSet<NftId> =
+                live.report().detection.confirmed.iter().map(|a| a.nft()).collect();
+            dated.retain(|nft, _| confirmed.contains(nft));
+            assert_eq!(live.confirmed_at, dated, "epoch {}", delta.index);
+            lost += delta.lost_suspects;
+        }
+        assert!(lost > 0, "the fixture must lose a suspect");
+    }
 }

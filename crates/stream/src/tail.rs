@@ -8,6 +8,10 @@
 //! across epochs — appends price only the new rows, and the confirmed-set
 //! delta flips only the rows of transactions whose wash status actually
 //! changed — so snapshotting the CDF is a memcpy instead of a world scan.
+//! The delta is fed only the confirmed activities of NFTs whose confirmed
+//! group changed this epoch: an unchanged group would add −k then +k to each
+//! of its transactions' reference counts, so leaving it out yields the same
+//! integer counts, the same flips and the same multiset.
 //!
 //! Bit-identity argument: `Cdf::new` sorts its samples by `total_cmp`, a
 //! total order under which equal elements are identical bit patterns, so the
@@ -80,18 +84,30 @@ impl LegitVolumeSet {
     }
 
     /// Apply one epoch's confirmed-set transition: reference counts drop for
-    /// every internal edge of the previous confirmed activities and rise for
-    /// the current ones, and the rows of each transaction whose wash status
+    /// every internal edge of the `previous` activities and rise for the
+    /// `current` ones, and the rows of each transaction whose wash status
     /// flipped move out of or into the sample multiset.
-    pub fn apply_confirmed_delta(&mut self, previous: &[DenseActivity], current: &[DenseActivity]) {
+    ///
+    /// Callers pass only the groups that changed — the previous and current
+    /// confirmed activities of each NFT whose confirmed group differs — not
+    /// both whole confirmed sets. That is exact: an unchanged group's edges
+    /// would be subtracted and added back, a net zero on every count, so
+    /// the counts, the flipped transactions and the multiset all come out
+    /// as they would from the whole sets. Every `previous` activity must be
+    /// one the counts currently include; a count that would drop below zero
+    /// panics rather than wrap and mark its transaction wash forever.
+    pub fn apply_confirmed_delta<'x>(
+        &mut self,
+        previous: impl IntoIterator<Item = &'x DenseActivity>,
+        current: impl IntoIterator<Item = &'x DenseActivity>,
+    ) {
         // Status before the transition, recorded once per touched tx.
         let mut was_wash: HashMap<TxHash, bool> = HashMap::new();
         for activity in previous {
             for (_, _, edge) in &activity.candidate.internal_edges {
                 let count = self.wash_refcount.entry(edge.tx_hash).or_insert(0);
                 was_wash.entry(edge.tx_hash).or_insert(*count > 0);
-                debug_assert!(*count > 0, "wash refcount underflow");
-                *count -= 1;
+                *count = count.checked_sub(1).expect("wash refcount underflow");
             }
         }
         for activity in current {
@@ -180,7 +196,7 @@ impl LegitVolumeSet {
             merged.push(value);
         }
         merged.extend(add);
-        debug_assert_eq!(remove_at, removes.len(), "removed sample missing from multiset");
+        assert_eq!(remove_at, removes.len(), "removed sample missing from multiset");
         self.sorted = merged;
     }
 }
@@ -336,6 +352,82 @@ mod tests {
         set.pending_remove.push(9.0);
         set.commit();
         assert_eq!(set.sorted, vec![1.0, 2.5, 3.0]);
+    }
+
+    /// A confirmed activity whose internal edges carry the given
+    /// transactions, each a self-trade of one account on one NFT.
+    fn activity(txs: &[TxHash]) -> DenseActivity {
+        use washtrade::detect::MethodSet;
+        use washtrade::refine::DenseCandidate;
+        use washtrade::txgraph::DenseTradeEdge;
+        let account = ids::AccountId(0);
+        let edge = |tx: &TxHash| DenseTradeEdge {
+            timestamp: ethsim::Timestamp::from_secs(0),
+            tx_hash: *tx,
+            marketplace: None,
+            price: ethsim::Wei::from_eth(1.0),
+        };
+        DenseActivity {
+            candidate: DenseCandidate {
+                nft: ids::NftKey(0),
+                accounts: vec![account],
+                internal_edges: txs.iter().map(|tx| (account, account, edge(tx))).collect(),
+                first_trade: ethsim::Timestamp::from_secs(0),
+                last_trade: ethsim::Timestamp::from_secs(0),
+                volume: ethsim::Wei::from_eth(txs.len() as f64),
+            },
+            methods: MethodSet { self_trade: true, ..MethodSet::default() },
+        }
+    }
+
+    #[test]
+    fn changed_groups_alone_give_the_whole_set_delta() {
+        let tx: Vec<TxHash> = (0..5u8).map(|i| TxHash::hash_of(&[i])).collect();
+        let mut base = LegitVolumeSet::new();
+        for (row, hash) in tx.iter().enumerate() {
+            base.row_usd.push(10.0 * (row + 1) as f64);
+            base.row_eligible.push(true);
+            base.tx_rows.insert(*hash, vec![row as u32]);
+            base.pending_add.push(base.row_usd[row]);
+        }
+        // `kept` shares tx[1] with the group that changes from `old` to `new`.
+        let kept = activity(&tx[..2]);
+        let (old, new) = (activity(&tx[1..3]), activity(&tx[3..4]));
+        base.apply_confirmed_delta([], [&kept, &old]);
+        base.commit();
+
+        let mut whole = base.clone();
+        whole.apply_confirmed_delta([&kept, &old], [&kept, &new]);
+        let mut changed = base;
+        changed.apply_confirmed_delta([&old], [&new]);
+        whole.commit();
+        changed.commit();
+        assert_eq!(changed.sorted, whole.sorted);
+        assert_eq!(changed.sorted, vec![30.0, 50.0]);
+        let wash = |set: &LegitVolumeSet| -> Vec<(TxHash, u32)> {
+            let mut counts: Vec<(TxHash, u32)> =
+                set.wash_refcount.iter().filter(|(_, n)| **n > 0).map(|(t, n)| (*t, *n)).collect();
+            counts.sort();
+            counts
+        };
+        assert_eq!(wash(&changed), wash(&whole));
+    }
+
+    #[test]
+    #[should_panic(expected = "wash refcount underflow")]
+    fn retracting_an_uncounted_activity_panics() {
+        let mut set = LegitVolumeSet::new();
+        set.apply_confirmed_delta([&activity(&[TxHash::hash_of(b"never added")])], []);
+    }
+
+    #[test]
+    #[should_panic(expected = "removed sample missing from multiset")]
+    fn removing_an_absent_sample_panics() {
+        let mut set = LegitVolumeSet::new();
+        set.pending_add.push(1.0);
+        set.commit();
+        set.pending_remove.push(2.0);
+        set.commit();
     }
 
     #[test]

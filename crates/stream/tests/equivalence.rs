@@ -4,7 +4,7 @@
 //! at any epoch size and any thread count. Plus the dirty-set guarantee:
 //! mid-stream epochs re-detect strictly fewer NFTs than the total.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ethsim::{BlockNumber, Timestamp, Wei};
 use tokens::NftId;
@@ -189,7 +189,10 @@ fn query_api_is_consistent_with_the_live_report() {
 /// At every epoch, the incrementally reassembled [`LiveReport`] must be
 /// bit-identical to [`StreamAnalyzer::rebuild_full_report`] — the
 /// pre-incremental full-rescan tail over the same caches — and at the tip to
-/// the batch report; all of it at 1, 2, 4 and 8 threads.
+/// the batch report; all of it at 1, 2, 4 and 8 threads. The epoch's suspect
+/// transitions, read off the reassembly's group diff, must match a set
+/// difference of consecutive reports' confirmed NFTs, and the suspect log
+/// must hold exactly the confirmed NFTs, mid-stream included.
 #[test]
 fn partial_caches_survive_adversarial_transitions() {
     let world = World::generate(tiny_config(11)).expect("world");
@@ -200,7 +203,29 @@ fn partial_caches_survive_adversarial_transitions() {
         let mut live = StreamAnalyzer::new(input, StreamOptions { threads });
         let mut lost_total = 0usize;
         let mut zero_dirty_epochs = 0usize;
+        let mut previous_confirmed: BTreeSet<NftId> = BTreeSet::new();
         while let Some(delta) = live.ingest_epoch(7) {
+            let confirmed: BTreeSet<NftId> =
+                live.report().detection.confirmed.iter().map(|a| a.nft()).collect();
+            assert_eq!(
+                delta.new_suspects,
+                confirmed.difference(&previous_confirmed).copied().collect::<Vec<_>>(),
+                "new suspects diverged at epoch {} (threads {threads})",
+                delta.index,
+            );
+            assert_eq!(
+                delta.lost_suspects,
+                previous_confirmed.difference(&confirmed).count(),
+                "lost suspects diverged at epoch {} (threads {threads})",
+                delta.index,
+            );
+            assert_eq!(
+                live.suspects_since(BlockNumber(0)),
+                confirmed.iter().copied().collect::<Vec<_>>(),
+                "suspect log is not the confirmed set at epoch {} (threads {threads})",
+                delta.index,
+            );
+            previous_confirmed = confirmed;
             lost_total += delta.lost_suspects;
             if delta.dirty_nfts == 0 {
                 zero_dirty_epochs += 1;
