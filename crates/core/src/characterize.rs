@@ -19,7 +19,7 @@ use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, MarketplaceVolume};
 use crate::detect::DenseActivity;
 use crate::parallel::Executor;
 use crate::refine::DenseCandidate;
@@ -241,9 +241,12 @@ pub fn activity_facts(
 
 /// The dataset-level inputs of the characterization: per-marketplace totals
 /// (Table I), the unaffected-trading volume CDF (Fig. 3 baseline) and
-/// collection creation times (Fig. 5). The batch path builds these by
-/// scanning the columns ([`characterize_baseline`]); the streaming analyzer
-/// maintains each one incrementally and hands the maintained values in.
+/// collection creation times (Fig. 5). The batch path reads the totals off
+/// the Table I rows its `characterize` stage folded once and builds the rest
+/// by scanning the columns ([`characterize_baseline`]); the streaming
+/// analyzer folds Table I over cached leaves, maintains the rest
+/// incrementally, and hands the values in. Both paths key the Fig. 3 wash
+/// set by dense [`TxId`](ids::TxId), never by transaction hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizeBaseline {
     /// Marketplace name → total (wash + legit) volume in USD.
@@ -254,28 +257,30 @@ pub struct CharacterizeBaseline {
     pub collection_created: HashMap<Address, Timestamp>,
 }
 
+/// Marketplace name → total USD volume, read off the Table I rows — the
+/// [`CharacterizeBaseline::market_totals`] both pipelines derive the same way.
+pub fn market_totals(table1: &[MarketplaceVolume]) -> HashMap<String, f64> {
+    table1.iter().map(|row| (row.name.clone(), row.volume_usd)).collect()
+}
+
 /// Build the [`CharacterizeBaseline`] by scanning the dataset — the batch
-/// path. The per-row USD pricing of the legit-volume scan fans out over
+/// path. `table1` is the dataset's already folded Table I. The wash set is a
+/// [`BitSet`] of the confirmed edges' transaction ids, so the legit-volume
+/// scan tests one bit per row. Its per-row USD pricing fans out over
 /// `executor` in row-order-preserving chunks, so the collected vector (and
 /// with it the CDF) is identical at any thread count.
 pub fn characterize_baseline(
     activities: &[DenseActivity],
     dataset: &Dataset,
-    directory: &MarketplaceDirectory,
+    table1: &[MarketplaceVolume],
     oracle: &PriceOracle,
     executor: &Executor,
 ) -> CharacterizeBaseline {
     let interner = &dataset.interner;
     let columns = &dataset.columns;
-    let market_totals: HashMap<String, f64> = dataset
-        .marketplace_volumes_with(directory, oracle, executor)
-        .into_iter()
-        .map(|row| (row.name, row.volume_usd))
-        .collect();
-
-    let wash_txs: HashSet<ethsim::TxHash> = activities
+    let wash_txs: BitSet = activities
         .iter()
-        .flat_map(|a| a.candidate.internal_edges.iter().map(|(_, _, e)| e.tx_hash))
+        .flat_map(|a| a.candidate.internal_edges.iter().map(|(_, _, e)| e.tx.index()))
         .collect();
     // One linear pass over the columns; the CDF sorts, so the (fixed) row
     // order only needs to be deterministic, which chain order is. The pass
@@ -293,7 +298,7 @@ pub fn characterize_baseline(
             range
                 .clone()
                 .filter(|&row| {
-                    !wash_txs.contains(&columns.tx_hash[row]) && !columns.price[row].is_zero()
+                    !wash_txs.contains(columns.tx[row].index()) && !columns.price[row].is_zero()
                 })
                 .map(|row| {
                     oracle.wei_to_usd(columns.price[row], columns.timestamp[row]).unwrap_or(0.0)
@@ -323,7 +328,7 @@ pub fn characterize_baseline(
     };
 
     CharacterizeBaseline {
-        market_totals,
+        market_totals: market_totals(table1),
         legit_volume_cdf: Cdf::new(legit_volumes),
         collection_created,
     }
@@ -331,34 +336,39 @@ pub fn characterize_baseline(
 
 /// Produce the §V characterization of the confirmed activities.
 ///
-/// `dataset` supplies the interner, the unaffected-trading baseline (Fig. 3)
-/// and collection creation times (Fig. 5); `directory` and `oracle` provide
-/// marketplace attribution and USD conversion.
+/// `dataset` supplies the interner, Table I (folded here), the
+/// unaffected-trading baseline (Fig. 3) and collection creation times
+/// (Fig. 5); `directory` and `oracle` provide marketplace attribution and
+/// USD conversion.
 pub fn characterize(
     activities: &[DenseActivity],
     dataset: &Dataset,
     directory: &MarketplaceDirectory,
     oracle: &PriceOracle,
 ) -> Characterization {
-    characterize_with(activities, dataset, directory, oracle, &Executor::new(1))
+    let table1 = dataset.marketplace_volumes(directory, oracle);
+    characterize_with(activities, dataset, directory, oracle, &table1, &Executor::new(1))
 }
 
-/// [`characterize`] with the per-activity facts and the per-row baseline
-/// pricing fanned out over `executor`. Facts come back in activity order and
-/// every float fold runs in the final reduce exactly as the serial path
-/// folds it, so the result is bit-identical at any thread count.
+/// [`characterize`] over an already folded Table I (`table1`, the
+/// dataset's [`Dataset::marketplace_volumes`] rows), with the per-activity
+/// facts and the per-row baseline pricing fanned out over `executor`. Facts
+/// come back in activity order and every float fold runs in the final
+/// reduce exactly as the serial path folds it, so the result is
+/// bit-identical at any thread count.
 pub fn characterize_with(
     activities: &[DenseActivity],
     dataset: &Dataset,
     directory: &MarketplaceDirectory,
     oracle: &PriceOracle,
+    table1: &[MarketplaceVolume],
     executor: &Executor,
 ) -> Characterization {
     let catalogue = PatternCatalogue::paper();
     let facts = executor.map(activities, |activity| {
         activity_facts(&activity.candidate, dataset, directory, oracle, &catalogue)
     });
-    let baseline = characterize_baseline(activities, dataset, directory, oracle, executor);
+    let baseline = characterize_baseline(activities, dataset, table1, oracle, executor);
     let facts: Vec<&ActivityFacts> = facts.iter().collect();
     characterize_from_parts(activities, &facts, baseline)
 }
@@ -654,6 +664,7 @@ mod tests {
                                     / (edges.len() as u64 - 1).max(1),
                         ),
                         tx_hash: TxHash::hash_of(format!("{collection}-{token}-{i}").as_bytes()),
+                        tx: ids::TxId((token * 16 + i as u64) as u32),
                         marketplace: None,
                         price: Wei::from_eth(*price),
                     },

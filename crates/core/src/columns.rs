@@ -16,12 +16,19 @@
 //! re-sort on every epoch; the row index gives dense, branch-free history
 //! iteration without it.
 //!
+//! Transactions get dense ids here too ([`TransferColumns::tx`]): a row
+//! starts a new [`TxId`] exactly when its hash differs from the previous
+//! row's, and [`TransferColumns::tx_rows`] answers a transaction's rows as
+//! one contiguous range — no map, no hashing.
+//!
 //! Dense ids resolve back to addresses only at the report boundary, through
 //! [`TransferColumns::resolve`], which materializes the compatibility view
 //! type [`NftTransfer`].
 
+use std::ops::Range;
+
 use ethsim::{BlockNumber, Timestamp, TxHash, Wei};
-use ids::{AccountId, Interner, MarketId, NftKey};
+use ids::{AccountId, Interner, MarketId, NftKey, TxId};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::NftTransfer;
@@ -66,6 +73,16 @@ pub struct TransferColumns {
     pub price: Vec<Wei>,
     /// Marketplace attribution of each row.
     pub marketplace: Vec<Option<MarketId>>,
+    /// Dense transaction id of each row, numbered in chain order. Every
+    /// ingest path appends rows in execution order, and a transaction's logs
+    /// are consecutive within its block, so one transaction's rows are
+    /// consecutive: a row takes the next id exactly when its `tx_hash`
+    /// differs from the previous row's. Ids are therefore bijective with the
+    /// hashes in the store, and the same at any epoch slicing and thread
+    /// count.
+    pub tx: Vec<TxId>,
+    /// First row of each transaction, indexed by [`TxId`].
+    tx_first_row: Vec<u32>,
     /// CSR-style index: `rows_by_nft[key]` lists the store rows of that
     /// NFT's history, ascending (appends are chronological per NFT).
     rows_by_nft: Vec<Vec<u32>>,
@@ -99,6 +116,7 @@ impl TransferColumns {
         self.timestamp.reserve(additional);
         self.price.reserve(additional);
         self.marketplace.reserve(additional);
+        self.tx.reserve(additional);
     }
 
     /// Append a transfer; returns its row number.
@@ -112,11 +130,43 @@ impl TransferColumns {
         self.timestamp.push(row.timestamp);
         self.price.push(row.price);
         self.marketplace.push(row.marketplace);
-        if self.rows_by_nft.len() <= row.nft.index() {
-            self.rows_by_nft.resize_with(row.nft.index() + 1, Vec::new);
-        }
-        self.rows_by_nft[row.nft.index()].push(index);
+        self.index_row(index as usize);
         index
+    }
+
+    /// Index the just-appended `row`: give it its transaction id and add it
+    /// to its NFT's row list.
+    fn index_row(&mut self, row: usize) {
+        let tx = if row > 0 && self.tx_hash[row - 1] == self.tx_hash[row] {
+            self.tx[row - 1]
+        } else {
+            let id = TxId(u32::try_from(self.tx_first_row.len()).expect("tx space fits u32"));
+            self.tx_first_row.push(row as u32);
+            id
+        };
+        self.tx.push(tx);
+        let nft = self.nft[row].index();
+        if self.rows_by_nft.len() <= nft {
+            self.rows_by_nft.resize_with(nft + 1, Vec::new);
+        }
+        self.rows_by_nft[nft].push(row as u32);
+    }
+
+    /// Number of distinct transactions stored.
+    pub fn tx_count(&self) -> usize {
+        self.tx_first_row.len()
+    }
+
+    /// The rows carried by one transaction: a contiguous range, since a
+    /// transaction's rows are consecutive (see [`TransferColumns::tx`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` is beyond the store.
+    pub fn tx_rows(&self, tx: TxId) -> Range<usize> {
+        let start = self.tx_first_row[tx.index()] as usize;
+        let end = self.tx_first_row.get(tx.index() + 1).map_or(self.len(), |&row| row as usize);
+        start..end
     }
 
     /// The chronological rows of one NFT's history (empty for keys beyond
@@ -173,8 +223,8 @@ impl TransferColumns {
     /// Concatenate a shard's column segment onto the tail of the store —
     /// exactly equivalent to pushing each of the segment's rows through
     /// [`TransferColumns::push`] in order, including the per-NFT row-index
-    /// maintenance, but with one bulk `append` per column instead of a
-    /// per-row fan-out. The segment is drained.
+    /// and transaction-id maintenance, but with one bulk `append` per column
+    /// instead of a per-row fan-out. The segment is drained.
     pub fn splice(&mut self, segment: &mut ColumnSegment) {
         let base = self.nft.len();
         u32::try_from(base + segment.nft.len()).expect("row space fits u32");
@@ -186,11 +236,8 @@ impl TransferColumns {
         self.timestamp.append(&mut segment.timestamp);
         self.price.append(&mut segment.price);
         self.marketplace.append(&mut segment.marketplace);
-        for (offset, &nft) in self.nft[base..].iter().enumerate() {
-            if self.rows_by_nft.len() <= nft.index() {
-                self.rows_by_nft.resize_with(nft.index() + 1, Vec::new);
-            }
-            self.rows_by_nft[nft.index()].push((base + offset) as u32);
+        for row in base..self.nft.len() {
+            self.index_row(row);
         }
     }
 }
@@ -287,6 +334,19 @@ mod tests {
         assert_eq!(columns.transfer_count_of(NftKey(0)), 2);
         let back = columns.row(2);
         assert_eq!((back.nft, back.from, back.to), (NftKey(0), AccountId(1), AccountId(0)));
+    }
+
+    #[test]
+    fn consecutive_rows_of_one_transaction_share_an_id() {
+        let mut columns = TransferColumns::new();
+        for (nft, at) in [(0, 1), (1, 1), (0, 2), (2, 3), (1, 3)] {
+            columns.push(TransferRow { tx_hash: TxHash::hash_of(&[at]), ..row(nft, 0, 1, 0) });
+        }
+        assert_eq!(columns.tx, [0, 0, 1, 2, 2].map(TxId));
+        assert_eq!(columns.tx_count(), 3);
+        assert_eq!(columns.tx_rows(TxId(0)), 0..2);
+        assert_eq!(columns.tx_rows(TxId(1)), 2..3);
+        assert_eq!(columns.tx_rows(TxId(2)), 3..5);
     }
 
     #[test]

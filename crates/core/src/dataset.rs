@@ -16,7 +16,7 @@
 
 use ethsim::fxhash::FxHashSet;
 use ethsim::{Address, BlockNumber, Chain, LogEntry, LogFilter, Timestamp, TxHash, Wei};
-use ids::{BitSet, Interner, NftKey};
+use ids::{BitSet, Interner, NftKey, TxId};
 use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
@@ -292,7 +292,8 @@ impl Dataset {
     }
 
     /// Per-marketplace totals (Table I): NFTs, transactions and volume of all
-    /// activity attributed to each marketplace.
+    /// activity attributed to each marketplace. Batch analysis folds this
+    /// once per run, in its `characterize` stage, and reports those rows.
     pub fn marketplace_volumes(
         &self,
         directory: &MarketplaceDirectory,
@@ -326,9 +327,11 @@ impl Dataset {
 
     /// The marketplace-attributed transfer rows of one NFT with their USD
     /// pricing precomputed, in row (chronological) order — the per-NFT leaf
-    /// record of the two-level [`MarketVolumeFold`]. Leaves are a pure
-    /// function of the NFT's (append-only) history, so cached leaves of
-    /// clean NFTs stay valid across streamed epochs.
+    /// record of the two-level [`MarketVolumeFold`]. Each leaf carries its
+    /// row's dense [`TxId`], never the 32-byte hash. Leaves are a pure
+    /// function of the NFT's (append-only) history, and transaction ids are
+    /// append-only too, so the streaming analyzer caches the leaves of clean
+    /// NFTs across epochs and folds them with the same [`MarketVolumeFold`].
     pub fn nft_market_leaves(&self, key: NftKey, oracle: &PriceOracle) -> NftMarketLeaves {
         let leaves = self
             .columns
@@ -339,7 +342,7 @@ impl Dataset {
                 let market = self.columns.marketplace[row]?;
                 Some(MarketLeaf {
                     market,
-                    tx_hash: self.columns.tx_hash[row],
+                    tx: self.columns.tx[row],
                     eth: self.columns.price[row].to_eth(),
                     usd: oracle
                         .wei_to_usd(self.columns.price[row], self.columns.timestamp[row])
@@ -358,7 +361,7 @@ pub struct MarketLeaf {
     /// The attributed marketplace.
     pub market: ids::MarketId,
     /// The carrying transaction (volume is deduplicated per transaction).
-    pub tx_hash: TxHash,
+    pub tx: TxId,
     /// Price in ETH.
     pub eth: f64,
     /// Price in USD at the transfer's timestamp.
@@ -378,14 +381,17 @@ pub struct NftMarketLeaves {
 /// [`MarketVolumeFold::add`] and it accumulates exactly as the original
 /// one-level loop did — including the global per-market transaction
 /// deduplication, replayed in the same order, so every f64 sum lands on the
-/// same bits.
+/// same bits. The dedup is a [`BitSet`] over dense [`TxId`]s, which are
+/// bijective with transaction hashes, so every verdict is the one a hash set
+/// would give. Batch ([`Dataset::marketplace_volumes_with`]) and the
+/// streaming analyzer (over cached leaves) share this one fold.
 pub struct MarketVolumeFold {
     per_market: Vec<Option<MarketAccumulator>>,
 }
 
 struct MarketAccumulator {
     nfts: BitSet,
-    transactions: FxHashSet<TxHash>,
+    transactions: BitSet,
     volume_eth: f64,
     volume_usd: f64,
 }
@@ -407,12 +413,12 @@ impl MarketVolumeFold {
             let accumulator =
                 self.per_market[leaf.market.index()].get_or_insert_with(|| MarketAccumulator {
                     nfts: BitSet::new(),
-                    transactions: FxHashSet::default(),
+                    transactions: BitSet::new(),
                     volume_eth: 0.0,
                     volume_usd: 0.0,
                 });
             accumulator.nfts.insert(key.index());
-            if accumulator.transactions.insert(leaf.tx_hash) {
+            if accumulator.transactions.insert(leaf.tx.index()) {
                 accumulator.volume_eth += leaf.eth;
                 accumulator.volume_usd += leaf.usd;
             }
@@ -579,6 +585,31 @@ mod tests {
         assert!(opensea.volume_usd > 0.0);
         let looksrare = rows.iter().find(|r| r.name == "LooksRare").unwrap();
         assert_eq!(looksrare.transactions, 0);
+    }
+
+    #[test]
+    fn token_ids_beyond_u64_do_not_alias_a_small_token() {
+        let mut chain = Chain::new(Timestamp::from_secs(1_640_995_200));
+        let mut tokens = TokenRegistry::new();
+        let genesis = chain.current_timestamp();
+        let collection = tokens.deploy_erc721(&mut chain, "wide", "Wide", true, genesis).unwrap();
+        let alice = chain.create_eoa("alice").unwrap();
+        let bob = chain.create_eoa("bob").unwrap();
+        chain.fund(alice, Wei::from_eth(5.0));
+        let small = ethsim::Log::erc721_transfer(collection, Address::NULL, alice, 5);
+        let mut wide = ethsim::Log::erc721_transfer(collection, alice, bob, 5);
+        wide.topics[3] = ethsim::B256::from_u128((1u128 << 64) + 5);
+        for log in [small, wide] {
+            let call = Selector::of("transferFrom(address,address,uint256)");
+            let gas_price = Wei::from_gwei(30);
+            let request =
+                TxRequest::contract_call(alice, collection, call, Wei::ZERO, 90_000, gas_price);
+            chain.submit(request.with_log(log)).unwrap();
+        }
+        let dataset = Dataset::build(&chain, &MarketplaceDirectory::new());
+        assert_eq!(dataset.raw_transfer_events, 2);
+        assert_eq!(dataset.nft_count(), 1);
+        assert_eq!(dataset.transfers_of(NftId::new(collection, 5)).len(), 1);
     }
 
     #[test]

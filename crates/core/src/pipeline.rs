@@ -118,6 +118,7 @@ pub struct AnalysisContext<'a> {
     candidates: Option<Vec<DenseCandidate>>,
     refinement: Option<RefinementReport>,
     detection: Option<DenseDetectionOutcome>,
+    table1: Option<Vec<MarketplaceVolume>>,
     characterization: Option<Characterization>,
     rewards: Option<RewardReport>,
     resales: Option<ResaleReport>,
@@ -134,6 +135,7 @@ impl<'a> AnalysisContext<'a> {
             candidates: None,
             refinement: None,
             detection: None,
+            table1: None,
             characterization: None,
             rewards: None,
             resales: None,
@@ -168,11 +170,10 @@ impl<'a> AnalysisContext<'a> {
     /// Assemble the final report once every stage has run — the single
     /// point where dense ids resolve back to addresses.
     fn into_report(self, stage_metrics: Vec<StageMetrics>) -> AnalysisReport {
-        let input = self.input;
         let dataset = Self::expect(self.dataset, "dataset");
         let detection = Self::expect(self.detection, "detection").resolve(&dataset.interner);
         AnalysisReport {
-            table1: dataset.marketplace_volumes(input.directory, input.oracle),
+            table1: Self::expect(self.table1, "table1"),
             dataset_nfts: dataset.nft_count(),
             dataset_transfers: dataset.transfer_count(),
             raw_transfer_events: dataset.raw_transfer_events,
@@ -301,8 +302,10 @@ impl PipelineStage for Detect {
     }
 }
 
-/// §V: volumes, lifetimes, participation patterns, serial traders. Items:
-/// confirmed activities in, one characterization out.
+/// §III Table I and §V: folds the per-marketplace totals once — the
+/// report's Table I and the Table II shares' denominators — then volumes,
+/// lifetimes, participation patterns, serial traders. Items: confirmed
+/// activities in, one characterization out.
 pub struct Characterize;
 
 impl PipelineStage for Characterize {
@@ -312,18 +315,16 @@ impl PipelineStage for Characterize {
 
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let confirmed = &ctx.detection().confirmed;
-        let characterization = characterize_with(
-            confirmed,
-            ctx.dataset(),
-            ctx.input.directory,
-            ctx.input.oracle,
-            &ctx.executor,
-        );
+        let (dataset, directory, oracle) = (ctx.dataset(), ctx.input.directory, ctx.input.oracle);
+        let table1 = dataset.marketplace_volumes_with(directory, oracle, &ctx.executor);
+        let characterization =
+            characterize_with(confirmed, dataset, directory, oracle, &table1, &ctx.executor);
         let io = StageIo {
             items_in: confirmed.len(),
             items_out: 1,
             threads_used: ctx.executor.threads_for(confirmed.len()),
         };
+        ctx.table1 = Some(table1);
         ctx.characterization = Some(characterization);
         io
     }

@@ -13,7 +13,7 @@
 
 use ethsim::{Address, Timestamp, TxHash, Wei};
 use graphlib::{suspicious_components, DiMultiGraph, NodeIndex};
-use ids::{AccountId, Interner, MarketId, NftKey};
+use ids::{AccountId, Interner, MarketId, NftKey, TxId};
 use serde::{Deserialize, Serialize};
 
 use crate::columns::TransferColumns;
@@ -40,8 +40,11 @@ pub struct TradeEdge {
 pub struct DenseTradeEdge {
     /// Timestamp of the sale.
     pub timestamp: Timestamp,
-    /// Transaction hash of the sale.
+    /// Transaction hash of the sale (refinement and profit look the
+    /// transaction up on the chain by it).
     pub tx_hash: TxHash,
+    /// Dense id of the same transaction, for per-transaction folds.
+    pub tx: TxId,
     /// The marketplace interacted with, if any.
     pub marketplace: Option<MarketId>,
     /// Amount paid for the NFT.
@@ -87,6 +90,7 @@ impl NftGraph {
             let edge = DenseTradeEdge {
                 timestamp: columns.timestamp[i],
                 tx_hash: columns.tx_hash[i],
+                tx: columns.tx[i],
                 marketplace: columns.marketplace[i],
                 price: columns.price[i],
             };

@@ -130,7 +130,9 @@ impl Log {
         self.topics.len() == 4 && self.topics[0] == transfer_single_topic()
     }
 
-    /// Decode as an ERC-721 transfer, if the shape matches.
+    /// Decode as an ERC-721 transfer, if the shape matches. Token ids
+    /// outside `u64` are dropped rather than truncated: keeping only the low
+    /// bits would merge two tokens of one contract into one NFT.
     pub fn decode_erc721_transfer(&self) -> Option<Erc721Transfer> {
         if !self.is_erc721_transfer() {
             return None;
@@ -139,7 +141,7 @@ impl Log {
             contract: self.address,
             from: self.topics[1].to_address(),
             to: self.topics[2].to_address(),
-            token_id: self.topics[3].to_u128()? as u64,
+            token_id: u64::try_from(self.topics[3].to_u128()?).ok()?,
         })
     }
 
@@ -187,6 +189,16 @@ mod tests {
         assert_eq!(decoded.to, to);
         assert_eq!(decoded.token_id, 42);
         assert_eq!(log.decode_erc20_transfer(), None);
+    }
+
+    #[test]
+    fn erc721_token_ids_beyond_u64_are_dropped_not_truncated() {
+        let mut log =
+            Log::erc721_transfer(Address::derived("c"), Address::NULL, Address::derived("m"), 5);
+        log.topics[3] = B256::from_u128((1u128 << 64) + 5);
+        assert_eq!(log.decode_erc721_transfer(), None);
+        log.topics[3] = B256::from_u128(u128::from(u64::MAX));
+        assert_eq!(log.decode_erc721_transfer().map(|t| t.token_id), Some(u64::MAX));
     }
 
     #[test]

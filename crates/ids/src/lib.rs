@@ -8,18 +8,23 @@
 //! dense ids resolve back to real addresses exactly once, at the report
 //! boundary.
 //!
-//! Three id spaces exist, one per entity kind:
+//! Four id spaces exist, one per entity kind:
 //!
 //! * [`AccountId`] — transfer senders and recipients (the null address
 //!   included, since mints and burns use it),
 //! * [`NftKey`] — `(contract, token id)` pairs with at least one transfer,
-//! * [`MarketId`] — marketplace contracts attributed to at least one sale.
+//! * [`MarketId`] — marketplace contracts attributed to at least one sale,
+//! * [`TxId`] — transactions carrying at least one compliant transfer.
 //!
-//! The [`Interner`] owning all three is **append-only and stream-stable**:
-//! ids are assigned in first-seen order, an id is never reassigned, and
-//! feeding the same entries epoch by epoch produces the same assignment as a
-//! one-shot pass — which is what lets the streaming subsystem share dense
-//! artifacts with the batch pipeline bit for bit.
+//! The [`Interner`] owning the first three is **append-only and
+//! stream-stable**: ids are assigned in first-seen order, an id is never
+//! reassigned, and feeding the same entries epoch by epoch produces the same
+//! assignment as a one-shot pass — which is what lets the streaming
+//! subsystem share dense artifacts with the batch pipeline bit for bit.
+//! [`TxId`]s need no map at all: the transfer store appends rows in chain
+//! execution order, so one transaction's rows are consecutive and a row
+//! takes the next id exactly when its hash differs from the previous row's.
+//! They are just as append-only and stream-stable, by contiguity.
 //!
 //! [`BitSet`] is the membership structure the dense stages use in place of
 //! `HashSet<Address>`: constant-time insert/contains over small integer ids.
@@ -70,6 +75,22 @@ impl NftKey {
 pub struct MarketId(pub u32);
 
 impl MarketId {
+    /// The id as a `Vec` index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Dense id of a transaction that carries at least one compliant transfer,
+/// numbered in chain order. Assigned by the transfer store on append (by
+/// contiguity, not through the [`Interner`]).
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+)]
+pub struct TxId(pub u32);
+
+impl TxId {
     /// The id as a `Vec` index.
     #[inline]
     pub fn index(self) -> usize {

@@ -116,9 +116,13 @@ impl PriceSeries {
     }
 }
 
-/// A collection of price series keyed by symbol.
+/// A collection of price series keyed by symbol. The ETH series, which
+/// prices every transfer, sits in its own field, so [`PriceOracle::wei_to_usd`]
+/// reaches it without a string-keyed lookup; every other symbol lives in the
+/// map. Each series is stored once.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PriceOracle {
+    eth: Option<PriceSeries>,
     series: HashMap<String, PriceSeries>,
 }
 
@@ -150,22 +154,31 @@ impl PriceOracle {
 
     /// Register (or replace) a series for a symbol.
     pub fn add_series(&mut self, symbol: impl Into<String>, series: PriceSeries) {
-        self.series.insert(symbol.into(), series);
+        let symbol = symbol.into();
+        if symbol == ETH {
+            self.eth = Some(series);
+        } else {
+            self.series.insert(symbol, series);
+        }
     }
 
     /// The series for a symbol, if registered.
     pub fn series(&self, symbol: &str) -> Option<&PriceSeries> {
-        self.series.get(symbol)
+        if symbol == ETH {
+            self.eth.as_ref()
+        } else {
+            self.series.get(symbol)
+        }
     }
 
     /// The USD price of one unit of `symbol` at `at`.
     pub fn usd_price(&self, symbol: &str, at: Timestamp) -> Option<f64> {
-        self.series.get(symbol).map(|s| s.price_at(at))
+        self.series(symbol).map(|s| s.price_at(at))
     }
 
     /// Convert an ETH amount (in wei) to USD at `at`.
     pub fn wei_to_usd(&self, amount: Wei, at: Timestamp) -> Option<f64> {
-        self.usd_price(ETH, at).map(|price| amount.to_eth() * price)
+        self.eth.as_ref().map(|series| amount.to_eth() * series.price_at(at))
     }
 
     /// Convert a token amount expressed in base units with `decimals` decimal
@@ -181,9 +194,10 @@ impl PriceOracle {
         self.usd_price(symbol, at).map(|price| base_units as f64 / scale * price)
     }
 
-    /// Registered symbols.
+    /// Registered symbols, sorted.
     pub fn symbols(&self) -> Vec<&str> {
-        let mut symbols: Vec<&str> = self.series.keys().map(|s| s.as_str()).collect();
+        let eth = self.eth.as_ref().map(|_| ETH);
+        let mut symbols: Vec<&str> = self.series.keys().map(|s| s.as_str()).chain(eth).collect();
         symbols.sort_unstable();
         symbols
     }
@@ -248,6 +262,30 @@ mod tests {
         assert_eq!(oracle.wei_to_usd(Wei::from_eth(1.0), start()), None);
         assert_eq!(oracle.token_to_usd("LOOKS", 1, 18, start()), None);
         assert!(oracle.symbols().is_empty());
+    }
+
+    #[test]
+    fn re_adding_eth_replaces_the_pricing_series() {
+        let mut oracle = PriceOracle::new();
+        oracle.add_series(ETH, PriceSeries::constant(start(), 10, 2_000.0));
+        oracle.add_series(USDC, PriceSeries::constant(start(), 10, 1.0));
+        let second = PriceSeries::constant(start(), 10, 3_000.0);
+        oracle.add_series(ETH.to_string(), second.clone());
+        assert_eq!(oracle.wei_to_usd(Wei::from_eth(2.0), start()), Some(6_000.0));
+        assert_eq!(oracle.series(ETH), Some(&second));
+        assert_eq!(oracle.usd_price(ETH, start()), Some(3_000.0));
+        assert_eq!(oracle.series(USDC).map(|s| s.price_at(start())), Some(1.0));
+        assert_eq!(oracle.symbols(), vec![ETH, USDC]);
+    }
+
+    #[test]
+    fn an_oracle_without_eth_prices_no_wei() {
+        let mut oracle = PriceOracle::new();
+        oracle.add_series(LOOKS, PriceSeries::constant(start(), 10, 4.0));
+        assert_eq!(oracle.wei_to_usd(Wei::from_eth(1.0), start()), None);
+        assert_eq!(oracle.series(ETH), None);
+        assert_eq!(oracle.symbols(), vec![LOOKS]);
+        assert_eq!(oracle.usd_price(LOOKS, start()), Some(4.0));
     }
 
     proptest::proptest! {

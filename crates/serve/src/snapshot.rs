@@ -1618,6 +1618,7 @@ mod tests {
                     DenseTradeEdge {
                         timestamp: Timestamp::from_secs(start_secs + i as u64 * 3_600),
                         tx_hash: TxHash::hash_of(format!("{collection}-{token}-{i}").as_bytes()),
+                        tx: ids::TxId((token * 16 + i as u64) as u32),
                         marketplace: None,
                         price: Wei::from_eth(*price),
                     },

@@ -29,10 +29,10 @@ use ids::NftKey;
 use serde::{Deserialize, Serialize};
 use tokens::NftId;
 use washtrade::characterize::{
-    activity_facts, characterize, characterize_from_parts, ActivityFacts, Characterization,
-    CharacterizeBaseline,
+    activity_facts, characterize, characterize_from_parts, market_totals, ActivityFacts,
+    Characterization, CharacterizeBaseline,
 };
-use washtrade::dataset::NftMarketLeaves;
+use washtrade::dataset::{MarketVolumeFold, NftMarketLeaves};
 use washtrade::detect::{ConfirmedActivity, DenseActivity, DetectionOutcome, Detector, MethodSet};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::AnalysisInput;
@@ -49,7 +49,7 @@ use washtrade_serve::{Snapshot, SnapshotMeta, SnapshotPublisher, WashVolumes};
 
 use crate::cursor::BlockCursor;
 use crate::incremental::{IncrementalDataset, IncrementalGraphs};
-use crate::tail::{DenseMarketLeaves, DenseVolumeFold, LegitVolumeSet, TxIds};
+use crate::tail::LegitVolumeSet;
 
 /// What one ingested epoch changed, as reported back to the caller and kept
 /// in [`LiveReport::epochs`].
@@ -233,14 +233,10 @@ pub struct StreamAnalyzer<'a> {
     nft_id_order: Vec<NftKey>,
     /// How many interner keys `nft_id_order` covers.
     known_keys: usize,
-    /// Cached per-NFT marketplace leaves (priced Table I rows) in dense
-    /// transaction-id form, indexed by [`NftKey`]; dirty NFTs are repriced,
-    /// clean ones keep their leaves.
-    market_leaves: Vec<Option<DenseMarketLeaves>>,
-    /// Dense transaction ids backing `market_leaves`: each hash is hashed
-    /// once when a dirty NFT's leaves are cached, so the per-epoch Table I
-    /// fold replay dedups through a bitset instead of a hash set.
-    tx_ids: TxIds,
+    /// Cached per-NFT marketplace leaves (priced Table I rows, each with its
+    /// dense transaction id), indexed by [`NftKey`]; dirty NFTs are
+    /// repriced, clean ones keep their leaves.
+    market_leaves: Vec<Option<NftMarketLeaves>>,
     /// Maintained collection→creation-time map (Fig. 5 baseline): per-NFT
     /// first rows are immutable, so only dirty NFTs fold in.
     collection_created: HashMap<Address, Timestamp>,
@@ -323,7 +319,6 @@ impl<'a> StreamAnalyzer<'a> {
             nft_id_order: Vec::new(),
             known_keys: 0,
             market_leaves: Vec::new(),
-            tx_ids: TxIds::new(),
             collection_created: HashMap::new(),
             legit: LegitVolumeSet::new(),
             confirmed_at: HashMap::new(),
@@ -426,8 +421,7 @@ impl<'a> StreamAnalyzer<'a> {
             if self.market_leaves.len() <= nft.index() {
                 self.market_leaves.resize_with(nft.index() + 1, || None);
             }
-            self.market_leaves[nft.index()] =
-                Some(DenseMarketLeaves::from_leaves(&leaves, &mut self.tx_ids));
+            self.market_leaves[nft.index()] = Some(leaves);
             // Fig. 5 baseline: a dirty NFT has rows, and its first row's
             // timestamp is immutable, so the min-fold is idempotent across
             // re-dirtying.
@@ -721,23 +715,21 @@ impl<'a> StreamAnalyzer<'a> {
         self.legit.append_rows(dataset, oracle);
         let previous = &self.dense_confirmed;
         self.legit.apply_confirmed_delta(
+            &dataset.columns,
             changes.iter().flat_map(|change| &previous[change.previous.clone()]),
             changes.iter().flat_map(|change| &detection.confirmed[change.current.clone()]),
         );
-        // Table I totals: replay the batch fold over cached per-NFT leaves in
-        // the same id-sorted order (only dirty NFTs were repriced). Dense
-        // transaction ids make the per-transaction dedup a bitset probe, but
-        // every dedup verdict — and so every f64 add, in the same order —
-        // matches the batch fold's bit for bit.
-        let mut fold = DenseVolumeFold::new(interner.market_count());
+        // Table I totals: the batch fold itself, over cached per-NFT leaves
+        // in the same id-sorted order (only dirty NFTs were repriced), so
+        // every dedup verdict and every f64 add matches batch bit for bit.
+        let mut fold = MarketVolumeFold::new(interner.market_count());
         for &key in &self.nft_id_order {
             if let Some(leaves) = self.market_leaves.get(key.index()).and_then(Option::as_ref) {
-                fold.add(leaves);
+                fold.add(key, leaves);
             }
         }
-        let market_totals = fold.totals(directory, interner);
         let baseline = CharacterizeBaseline {
-            market_totals,
+            market_totals: market_totals(&fold.rows(directory, interner)),
             legit_volume_cdf: self.legit.cdf(),
             collection_created: self.collection_created.clone(),
         };
@@ -1020,6 +1012,7 @@ mod tests {
         let edge = DenseTradeEdge {
             timestamp: Timestamp::from_secs(eth),
             tx_hash: TxHash::hash_of(format!("{nft:?}-{eth}").as_bytes()),
+            tx: ids::TxId(eth as u32),
             marketplace: None,
             price: Wei::from_eth(eth as f64),
         };

@@ -1,4 +1,5 @@
-//! Incrementally maintained inputs of the streaming characterization tail.
+//! The incrementally maintained Fig. 3 baseline of the streaming
+//! characterization tail.
 //!
 //! The Fig. 3 "volume without wash trading" baseline is the one
 //! characterization input that depends on *both* halves of the state: every
@@ -13,6 +14,14 @@
 //! of its transactions' reference counts, so leaving it out yields the same
 //! integer counts, the same flips and the same multiset.
 //!
+//! Everything here is keyed by dense [`TxId`]: the reference counts are a
+//! `Vec` indexed by it, and a transaction's rows are the contiguous range
+//! [`TransferColumns::tx_rows`] answers, so no transaction hash is hashed.
+//! (The streamed Table I fold needs no state of its own: the analyzer
+//! caches each NFT's [`NftMarketLeaves`](washtrade::dataset::NftMarketLeaves)
+//! and folds them with the batch
+//! [`MarketVolumeFold`](washtrade::dataset::MarketVolumeFold).)
+//!
 //! Bit-identity argument: `Cdf::new` sorts its samples by `total_cmp`, a
 //! total order under which equal elements are identical bit patterns, so the
 //! sorted sequence is unique for a given multiset. The maintained sorted
@@ -20,12 +29,9 @@
 //! batch scan-and-sort over the same rows yields, and no float is ever
 //! subtracted: samples enter and leave the multiset whole.
 
-use std::collections::HashMap;
-
-use ethsim::TxHash;
-use ids::BitSet;
-use marketplace::MarketplaceDirectory;
-use washtrade::dataset::{Dataset, NftMarketLeaves};
+use ids::TxId;
+use washtrade::columns::TransferColumns;
+use washtrade::dataset::Dataset;
 use washtrade::detect::DenseActivity;
 use washtrade::stats::Cdf;
 
@@ -44,12 +50,10 @@ pub struct LegitVolumeSet {
     /// non-NaN USD value (`Cdf::new` drops NaNs, so the maintained set
     /// excludes them the same way).
     row_eligible: Vec<bool>,
-    /// Rows carried by each transaction, for flipping a transaction's rows
-    /// in and out of the sample set when its wash status changes.
-    tx_rows: HashMap<TxHash, Vec<u32>>,
     /// How many confirmed internal edges currently reference each
-    /// transaction; a transaction is wash iff its count is non-zero.
-    wash_refcount: HashMap<TxHash, u32>,
+    /// transaction, indexed by [`TxId`]; a transaction is wash iff its count
+    /// is non-zero.
+    wash_refcount: Vec<u32>,
     /// The sample multiset, sorted by `total_cmp`.
     sorted: Vec<f64>,
     /// Samples entering the multiset this epoch (merged on commit).
@@ -64,19 +68,19 @@ impl LegitVolumeSet {
         LegitVolumeSet::default()
     }
 
-    /// Price and index the column rows appended since the last call. New
-    /// rows whose transaction is already wash are indexed but not sampled —
-    /// the flip machinery owns them from the start.
+    /// Price the column rows appended since the last call and make room for
+    /// their transactions' counts. New rows whose transaction is already
+    /// wash are priced but not sampled — the flip machinery owns them from
+    /// the start.
     pub fn append_rows(&mut self, dataset: &Dataset, oracle: &PriceOracle) {
         let columns = &dataset.columns;
+        self.wash_refcount.resize(columns.tx_count(), 0);
         for row in self.next_row..columns.len() {
             let usd = oracle.wei_to_usd(columns.price[row], columns.timestamp[row]).unwrap_or(0.0);
             let eligible = !columns.price[row].is_zero() && !usd.is_nan();
             self.row_usd.push(usd);
             self.row_eligible.push(eligible);
-            self.tx_rows.entry(columns.tx_hash[row]).or_default().push(row as u32);
-            if eligible && self.wash_refcount.get(&columns.tx_hash[row]).copied().unwrap_or(0) == 0
-            {
+            if eligible && self.wash_refcount[columns.tx[row].index()] == 0 {
                 self.pending_add.push(usd);
             }
         }
@@ -96,45 +100,66 @@ impl LegitVolumeSet {
     /// as they would from the whole sets. Every `previous` activity must be
     /// one the counts currently include; a count that would drop below zero
     /// panics rather than wrap and mark its transaction wash forever.
+    /// `columns` must be the store whose rows [`LegitVolumeSet::append_rows`]
+    /// priced last.
     pub fn apply_confirmed_delta<'x>(
         &mut self,
+        columns: &TransferColumns,
         previous: impl IntoIterator<Item = &'x DenseActivity>,
         current: impl IntoIterator<Item = &'x DenseActivity>,
     ) {
-        // Status before the transition, recorded once per touched tx.
-        let mut was_wash: HashMap<TxHash, bool> = HashMap::new();
-        for activity in previous {
-            for (_, _, edge) in &activity.candidate.internal_edges {
-                let count = self.wash_refcount.entry(edge.tx_hash).or_insert(0);
-                was_wash.entry(edge.tx_hash).or_insert(*count > 0);
-                *count = count.checked_sub(1).expect("wash refcount underflow");
+        let txs = |activity: &'x DenseActivity| {
+            activity.candidate.internal_edges.iter().map(|(_, _, edge)| edge.tx)
+        };
+        // A transaction stops being wash iff the retractions take its count
+        // to zero and the additions leave it there. It becomes wash iff the
+        // additions raise it from zero and the retractions did not lower it
+        // to zero (else it was wash all along).
+        let mut emptied: Vec<TxId> = Vec::new();
+        for tx in previous.into_iter().flat_map(txs) {
+            let count = self
+                .wash_refcount
+                .get_mut(tx.index())
+                .filter(|count| **count > 0)
+                .expect("wash refcount underflow");
+            *count -= 1;
+            if *count == 0 {
+                emptied.push(tx);
             }
         }
-        for activity in current {
-            for (_, _, edge) in &activity.candidate.internal_edges {
-                let count = self.wash_refcount.entry(edge.tx_hash).or_insert(0);
-                was_wash.entry(edge.tx_hash).or_insert(*count > 0);
-                *count += 1;
+        let mut filled: Vec<TxId> = Vec::new();
+        for tx in current.into_iter().flat_map(txs) {
+            let count = &mut self.wash_refcount[tx.index()];
+            if *count == 0 {
+                filled.push(tx);
+            }
+            *count += 1;
+        }
+        emptied.sort_unstable();
+        for &tx in &emptied {
+            if self.wash_refcount[tx.index()] == 0 {
+                self.flip(columns, tx, false);
             }
         }
-        for (tx, was) in was_wash {
-            let is = self.wash_refcount.get(&tx).copied().unwrap_or(0) > 0;
-            if was == is {
+        for tx in filled {
+            if emptied.binary_search(&tx).is_err() {
+                self.flip(columns, tx, true);
+            }
+        }
+    }
+
+    /// Move the eligible rows of `tx` out of the sample multiset (it became
+    /// wash) or back in (it stopped being wash).
+    fn flip(&mut self, columns: &TransferColumns, tx: TxId, to_wash: bool) {
+        for row in columns.tx_rows(tx) {
+            if !self.row_eligible[row] {
                 continue;
             }
-            let Some(rows) = self.tx_rows.get(&tx) else {
-                continue;
-            };
-            for &row in rows {
-                if !self.row_eligible[row as usize] {
-                    continue;
-                }
-                let usd = self.row_usd[row as usize];
-                if is {
-                    self.pending_remove.push(usd);
-                } else {
-                    self.pending_add.push(usd);
-                }
+            let usd = self.row_usd[row];
+            if to_wash {
+                self.pending_remove.push(usd);
+            } else {
+                self.pending_add.push(usd);
             }
         }
     }
@@ -201,138 +226,6 @@ impl LegitVolumeSet {
     }
 }
 
-/// Dense transaction ids for the streamed Table I fold: each distinct
-/// [`TxHash`] is hashed exactly once, when a dirty NFT's leaves are cached —
-/// every later per-epoch fold replay dedups through a [`BitSet`] over these
-/// ids instead of re-hashing 32-byte hashes into a fresh set per epoch.
-#[derive(Debug, Clone, Default)]
-pub struct TxIds {
-    ids: HashMap<TxHash, u32>,
-}
-
-impl TxIds {
-    /// An empty assignment.
-    pub fn new() -> Self {
-        TxIds::default()
-    }
-
-    /// The dense id of `hash`, assigning the next free one on first sight.
-    pub fn id(&mut self, hash: TxHash) -> u32 {
-        let next = self.ids.len() as u32;
-        *self.ids.entry(hash).or_insert(next)
-    }
-
-    /// Number of distinct transactions seen.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether no transaction has been assigned an id yet.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// One pre-priced marketplace row of an NFT with its transaction in dense-id
-/// form — the cached leaf of the streamed Table I fold (the stream-side
-/// mirror of [`washtrade::dataset::MarketLeaf`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseMarketLeaf {
-    /// The attributed marketplace.
-    pub market: ids::MarketId,
-    /// Dense id of the carrying transaction (volume dedups per transaction).
-    pub tx: u32,
-    /// Price in ETH.
-    pub eth: f64,
-    /// Price in USD at the transfer's timestamp.
-    pub usd: f64,
-}
-
-/// The cached dense leaves of one NFT (see [`DenseMarketLeaf`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DenseMarketLeaves {
-    /// Leaves in row (chronological) order.
-    pub leaves: Vec<DenseMarketLeaf>,
-}
-
-impl DenseMarketLeaves {
-    /// Convert freshly priced leaves into dense form, assigning transaction
-    /// ids through `txs`.
-    pub fn from_leaves(leaves: &NftMarketLeaves, txs: &mut TxIds) -> Self {
-        DenseMarketLeaves {
-            leaves: leaves
-                .leaves
-                .iter()
-                .map(|leaf| DenseMarketLeaf {
-                    market: leaf.market,
-                    tx: txs.id(leaf.tx_hash),
-                    eth: leaf.eth,
-                    usd: leaf.usd,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The streamed Table I reduce: the exact accumulation of
-/// [`washtrade::dataset::MarketVolumeFold`] — per-market f64 sums over leaves
-/// fed in identity-sorted NFT order, first leaf per (market, transaction)
-/// winning — with the per-epoch transaction dedup running over a [`BitSet`]
-/// of dense ids instead of a hash set of 32-byte hashes. Dense ids are
-/// bijective with hashes, so every dedup verdict (and with it every f64 add,
-/// in the same order) matches the batch fold bit for bit.
-pub struct DenseVolumeFold {
-    per_market: Vec<Option<DenseMarketAccumulator>>,
-}
-
-struct DenseMarketAccumulator {
-    transactions: BitSet,
-    volume_usd: f64,
-}
-
-impl DenseVolumeFold {
-    /// An empty fold over `market_count` dense marketplace ids.
-    pub fn new(market_count: usize) -> Self {
-        let mut per_market = Vec::new();
-        per_market.resize_with(market_count, || None);
-        DenseVolumeFold { per_market }
-    }
-
-    /// Fold one NFT's cached leaves. Callers must add NFTs in identity-sorted
-    /// order — same contract as the batch fold.
-    pub fn add(&mut self, leaves: &DenseMarketLeaves) {
-        for leaf in &leaves.leaves {
-            let accumulator = self.per_market[leaf.market.index()].get_or_insert_with(|| {
-                DenseMarketAccumulator { transactions: BitSet::new(), volume_usd: 0.0 }
-            });
-            if accumulator.transactions.insert(leaf.tx as usize) {
-                accumulator.volume_usd += leaf.usd;
-            }
-        }
-    }
-
-    /// Resolve the fold into the marketplace-name → total-USD-volume map the
-    /// characterization baseline consumes (the same values
-    /// `MarketVolumeFold::rows` carries in its rows).
-    pub fn totals(
-        self,
-        directory: &MarketplaceDirectory,
-        interner: &ids::Interner,
-    ) -> HashMap<String, f64> {
-        directory
-            .iter()
-            .map(|info| {
-                let volume = interner
-                    .market_id(info.contract)
-                    .and_then(|id| self.per_market[id.index()].as_ref())
-                    .map(|accumulator| accumulator.volume_usd)
-                    .unwrap_or(0.0);
-                (info.name.clone(), volume)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,14 +249,15 @@ mod tests {
 
     /// A confirmed activity whose internal edges carry the given
     /// transactions, each a self-trade of one account on one NFT.
-    fn activity(txs: &[TxHash]) -> DenseActivity {
+    fn activity(txs: &[u32]) -> DenseActivity {
         use washtrade::detect::MethodSet;
         use washtrade::refine::DenseCandidate;
         use washtrade::txgraph::DenseTradeEdge;
         let account = ids::AccountId(0);
-        let edge = |tx: &TxHash| DenseTradeEdge {
+        let edge = |tx: &u32| DenseTradeEdge {
             timestamp: ethsim::Timestamp::from_secs(0),
-            tx_hash: *tx,
+            tx_hash: ethsim::TxHash::hash_of(&tx.to_le_bytes()),
+            tx: TxId(*tx),
             marketplace: None,
             price: ethsim::Wei::from_eth(1.0),
         };
@@ -380,44 +274,71 @@ mod tests {
         }
     }
 
+    /// A store of `n` one-row transactions, and a set whose rows are priced
+    /// 10, 20, … and all sampled.
+    fn one_row_per_tx(n: u32) -> (TransferColumns, LegitVolumeSet) {
+        let mut columns = TransferColumns::new();
+        let mut set = LegitVolumeSet::new();
+        for row in 0..n {
+            columns.push(washtrade::columns::TransferRow {
+                nft: ids::NftKey(0),
+                from: ids::AccountId(0),
+                to: ids::AccountId(0),
+                tx_hash: ethsim::TxHash::hash_of(&row.to_le_bytes()),
+                block: ethsim::BlockNumber(u64::from(row)),
+                timestamp: ethsim::Timestamp::from_secs(u64::from(row)),
+                price: ethsim::Wei::from_eth(1.0),
+                marketplace: None,
+            });
+            set.row_usd.push(10.0 * f64::from(row + 1));
+            set.row_eligible.push(true);
+            set.pending_add.push(10.0 * f64::from(row + 1));
+        }
+        set.wash_refcount.resize(columns.tx_count(), 0);
+        set.next_row = columns.len();
+        (columns, set)
+    }
+
     #[test]
     fn changed_groups_alone_give_the_whole_set_delta() {
-        let tx: Vec<TxHash> = (0..5u8).map(|i| TxHash::hash_of(&[i])).collect();
-        let mut base = LegitVolumeSet::new();
-        for (row, hash) in tx.iter().enumerate() {
-            base.row_usd.push(10.0 * (row + 1) as f64);
-            base.row_eligible.push(true);
-            base.tx_rows.insert(*hash, vec![row as u32]);
-            base.pending_add.push(base.row_usd[row]);
-        }
-        // `kept` shares tx[1] with the group that changes from `old` to `new`.
-        let kept = activity(&tx[..2]);
-        let (old, new) = (activity(&tx[1..3]), activity(&tx[3..4]));
-        base.apply_confirmed_delta([], [&kept, &old]);
+        let (columns, mut base) = one_row_per_tx(5);
+        // `kept` shares tx 1 with the group that changes from `old` to `new`.
+        let kept = activity(&[0, 1]);
+        let (old, new) = (activity(&[1, 2]), activity(&[3]));
+        base.apply_confirmed_delta(&columns, [], [&kept, &old]);
         base.commit();
 
         let mut whole = base.clone();
-        whole.apply_confirmed_delta([&kept, &old], [&kept, &new]);
+        whole.apply_confirmed_delta(&columns, [&kept, &old], [&kept, &new]);
         let mut changed = base;
-        changed.apply_confirmed_delta([&old], [&new]);
+        changed.apply_confirmed_delta(&columns, [&old], [&new]);
         whole.commit();
         changed.commit();
         assert_eq!(changed.sorted, whole.sorted);
         assert_eq!(changed.sorted, vec![30.0, 50.0]);
-        let wash = |set: &LegitVolumeSet| -> Vec<(TxHash, u32)> {
-            let mut counts: Vec<(TxHash, u32)> =
-                set.wash_refcount.iter().filter(|(_, n)| **n > 0).map(|(t, n)| (*t, *n)).collect();
-            counts.sort();
-            counts
-        };
-        assert_eq!(wash(&changed), wash(&whole));
+        assert_eq!(changed.wash_refcount, whole.wash_refcount);
+        assert_eq!(changed.wash_refcount, vec![1, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn a_transaction_washed_on_both_sides_never_flips() {
+        let (columns, mut set) = one_row_per_tx(3);
+        set.apply_confirmed_delta(&columns, [], [&activity(&[1])]);
+        assert_eq!(set.cdf(), Cdf::from_sorted(vec![10.0, 30.0]));
+        // Tx 1 drops to zero on the retraction side and is raised again on
+        // the addition side: still wash, so no sample moves. Tx 2 becomes
+        // wash.
+        set.apply_confirmed_delta(&columns, [&activity(&[1])], [&activity(&[1, 2])]);
+        assert_eq!(set.cdf(), Cdf::from_sorted(vec![10.0]));
+        set.apply_confirmed_delta(&columns, [&activity(&[1, 2])], []);
+        assert_eq!(set.cdf(), Cdf::from_sorted(vec![10.0, 20.0, 30.0]));
     }
 
     #[test]
     #[should_panic(expected = "wash refcount underflow")]
     fn retracting_an_uncounted_activity_panics() {
-        let mut set = LegitVolumeSet::new();
-        set.apply_confirmed_delta([&activity(&[TxHash::hash_of(b"never added")])], []);
+        let (columns, mut set) = one_row_per_tx(1);
+        set.apply_confirmed_delta(&columns, [&activity(&[0])], []);
     }
 
     #[test]
