@@ -73,8 +73,8 @@ pub struct TransferColumns {
     pub price: Vec<Wei>,
     /// Marketplace attribution of each row.
     pub marketplace: Vec<Option<MarketId>>,
-    /// Dense transaction id of each row, numbered in chain order. Every
-    /// ingest path appends rows in execution order, and a transaction's logs
+    /// Dense transaction id of each row, numbered in chain order. Ingest
+    /// appends rows in execution order, and a transaction's logs
     /// are consecutive within its block, so one transaction's rows are
     /// consecutive: a row takes the next id exactly when its `tx_hash`
     /// differs from the previous row's. Ids are therefore bijective with the
@@ -105,8 +105,8 @@ impl TransferColumns {
     }
 
     /// Reserve room for `additional` more transfers across every column —
-    /// the commit phase calls this once per ingested batch, since the decode
-    /// phase already knows exactly how many rows are coming.
+    /// the commit calls this once per ingested range with the decoded
+    /// transfer count, an upper bound on the rows it appends.
     pub fn reserve(&mut self, additional: usize) {
         self.nft.reserve(additional);
         self.from.reserve(additional);
@@ -219,87 +219,6 @@ impl TransferColumns {
             marketplace: self.marketplace[i].map(|id| interner.market(id)),
         }
     }
-
-    /// Concatenate a shard's column segment onto the tail of the store —
-    /// exactly equivalent to pushing each of the segment's rows through
-    /// [`TransferColumns::push`] in order, including the per-NFT row-index
-    /// and transaction-id maintenance, but with one bulk `append` per column
-    /// instead of a per-row fan-out. The segment is drained.
-    pub fn splice(&mut self, segment: &mut ColumnSegment) {
-        let base = self.nft.len();
-        u32::try_from(base + segment.nft.len()).expect("row space fits u32");
-        self.nft.append(&mut segment.nft);
-        self.from.append(&mut segment.from);
-        self.to.append(&mut segment.to);
-        self.tx_hash.append(&mut segment.tx_hash);
-        self.block.append(&mut segment.block);
-        self.timestamp.append(&mut segment.timestamp);
-        self.price.append(&mut segment.price);
-        self.marketplace.append(&mut segment.marketplace);
-        for row in base..self.nft.len() {
-            self.index_row(row);
-        }
-    }
-}
-
-/// One shard's rewritten rows, in the same struct-of-arrays shape as
-/// [`TransferColumns`] but with no row index: segments are built in parallel
-/// (one per shard, ids already settled) and concatenated in shard order
-/// through [`TransferColumns::splice`].
-#[derive(Debug, Clone, Default)]
-pub struct ColumnSegment {
-    nft: Vec<NftKey>,
-    from: Vec<AccountId>,
-    to: Vec<AccountId>,
-    tx_hash: Vec<TxHash>,
-    block: Vec<BlockNumber>,
-    timestamp: Vec<Timestamp>,
-    price: Vec<Wei>,
-    marketplace: Vec<Option<MarketId>>,
-}
-
-impl ColumnSegment {
-    /// An empty segment sized for `rows` transfers.
-    pub fn with_capacity(rows: usize) -> Self {
-        ColumnSegment {
-            nft: Vec::with_capacity(rows),
-            from: Vec::with_capacity(rows),
-            to: Vec::with_capacity(rows),
-            tx_hash: Vec::with_capacity(rows),
-            block: Vec::with_capacity(rows),
-            timestamp: Vec::with_capacity(rows),
-            price: Vec::with_capacity(rows),
-            marketplace: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Append one settled row.
-    pub fn push(&mut self, row: TransferRow) {
-        self.nft.push(row.nft);
-        self.from.push(row.from);
-        self.to.push(row.to);
-        self.tx_hash.push(row.tx_hash);
-        self.block.push(row.block);
-        self.timestamp.push(row.timestamp);
-        self.price.push(row.price);
-        self.marketplace.push(row.marketplace);
-    }
-
-    /// Number of rows in the segment.
-    pub fn len(&self) -> usize {
-        self.nft.len()
-    }
-
-    /// Whether the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.nft.is_empty()
-    }
-
-    /// The NFT keys of the segment's rows, in row order — the commit phase
-    /// reads these to accumulate the dirty set before the segment is spliced.
-    pub fn nft_keys(&self) -> &[NftKey] {
-        &self.nft
-    }
 }
 
 #[cfg(test)]
@@ -347,33 +266,6 @@ mod tests {
         assert_eq!(columns.tx_rows(TxId(0)), 0..2);
         assert_eq!(columns.tx_rows(TxId(1)), 2..3);
         assert_eq!(columns.tx_rows(TxId(2)), 3..5);
-    }
-
-    #[test]
-    fn splice_matches_per_row_pushes() {
-        let rows: Vec<TransferRow> =
-            (0u32..9).map(|i| row(i % 3, i, i + 1, u64::from(i) + 1)).collect();
-        let mut pushed = TransferColumns::new();
-        for transfer in &rows {
-            pushed.push(*transfer);
-        }
-        let mut spliced = TransferColumns::new();
-        let mut first = ColumnSegment::with_capacity(4);
-        for transfer in &rows[..4] {
-            first.push(*transfer);
-        }
-        let mut second = ColumnSegment::with_capacity(5);
-        for transfer in &rows[4..] {
-            second.push(*transfer);
-        }
-        assert_eq!(first.len(), 4);
-        assert!(!first.is_empty());
-        assert_eq!(first.nft_keys().len(), 4);
-        spliced.splice(&mut first);
-        spliced.splice(&mut second);
-        assert!(second.is_empty(), "splice drains the segment");
-        assert_eq!(spliced, pushed, "splice reproduces push semantics bit for bit");
-        assert_eq!(spliced.rows_of(NftKey(0)), pushed.rows_of(NftKey(0)));
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! amount paid and the marketplace the transaction interacted with.
 //!
 //! Storage is columnar and interned: every account, NFT and marketplace is
-//! mapped to a dense id **once, here at ingest** (batch [`Dataset::build`]
-//! and streaming [`Dataset::apply_entries`] share the same
-//! [`Dataset::push_transfer`] seam, so the [`Interner`] is append-only and
-//! stream-stable), and the transfers live in the struct-of-arrays
+//! mapped to a dense id **once, here at ingest**. Batch [`Dataset::build`]
+//! and the stream's epochs both run [`Dataset::ingest_blocks`], whose serial
+//! commit appends every transfer through the one [`Dataset::push_transfer`]
+//! seam in chain order, so the [`Interner`] is append-only and
+//! stream-stable. The transfers live in the struct-of-arrays
 //! [`TransferColumns`]. Downstream stages index `Vec`s by the dense ids;
 //! addresses reappear only at the report boundary.
 
 use ethsim::fxhash::FxHashSet;
-use ethsim::{Address, BlockNumber, Chain, LogEntry, LogFilter, Timestamp, TxHash, Wei};
+use ethsim::{Address, BlockNumber, Chain, LogFilter, Timestamp, TxHash, Wei};
 use ids::{BitSet, Interner, NftKey, TxId};
 use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
@@ -23,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use tokens::NftId;
 
 use crate::columns::{TransferColumns, TransferRow};
-use crate::ingest::TxPayment;
 use crate::parallel::Executor;
 
 /// A single ERC-721 transfer in resolved (address-keyed) form: the
@@ -83,7 +83,7 @@ pub struct Dataset {
     pub raw_transfer_events: usize,
 }
 
-/// What one [`Dataset::apply_entries`] call changed: the NFTs that received
+/// What one [`Dataset::ingest_blocks`] call changed: the NFTs that received
 /// new transfers (as dense keys, sorted and deduplicated) and how many
 /// transfers were appended.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,11 +105,9 @@ impl Dataset {
     /// mirroring §III-A: scan transfer events, check compliance, store the
     /// per-NFT transfer lists with price and marketplace annotations.
     ///
-    /// Runs the two-phase ingest pipeline ([`Dataset::ingest_blocks`]) on a
-    /// single thread. Equivalent to applying every log entry of the chain to
-    /// an empty dataset through [`Dataset::apply_entries`] — the
-    /// arbitrary-slice incremental entry point — and bit-identical to
-    /// [`Dataset::build_with`] at any thread count: every path interns
+    /// Runs [`Dataset::ingest_blocks`] over the whole chain on a single
+    /// thread. Bit-identical to [`Dataset::build_with`] at any thread count
+    /// and to epoch-by-epoch ingest at any slicing: every call commits
     /// through the same [`Dataset::push_transfer`] seam in execution order.
     pub fn build(chain: &Chain, directory: &MarketplaceDirectory) -> Dataset {
         Self::build_with(chain, directory, &Executor::new(1))
@@ -133,10 +131,11 @@ impl Dataset {
         dataset
     }
 
-    /// Intern and append one transfer — the single seam every producer
-    /// (batch build, streaming epochs, test fixtures) funnels through, which
-    /// is what keeps the id assignment append-only and stream-stable.
-    /// Returns the NFT's dense key.
+    /// Intern and append one transfer — the single seam every transfer row
+    /// enters the store through (the ingest commit for batch builds and
+    /// streaming epochs alike, and test fixtures), which is what keeps the
+    /// id assignment append-only and stream-stable. Returns the NFT's dense
+    /// key.
     pub fn push_transfer(&mut self, transfer: &NftTransfer) -> NftKey {
         let nft = self.interner.intern_nft(transfer.nft);
         let row = TransferRow {
@@ -153,91 +152,10 @@ impl Dataset {
         nft
     }
 
-    /// Append a batch of transfer-shaped log entries to the dataset: probe
-    /// unseen contracts for ERC-721 compliance, decode, intern and annotate
-    /// the surviving transfers.
-    ///
-    /// Entries must arrive in execution order, and successive calls must
-    /// cover disjoint, non-decreasing block ranges (as a block cursor
-    /// produces them); under that contract the final dataset — columns *and*
-    /// id assignment — is identical to a one-shot [`Dataset::build`] over
-    /// the same chain.
-    pub fn apply_entries(
-        &mut self,
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        entries: &[LogEntry],
-    ) -> AppliedEntries {
-        self.raw_transfer_events += entries.len();
-
-        // Compliance check per emitting contract (§III-A "ERC-721 compliance").
-        // Verdicts are cached across calls, so each contract is probed once.
-        for entry in entries {
-            self.probe_contract(chain, entry.log.address);
-        }
-
-        let mut applied = AppliedEntries::default();
-        // Entries arrive in execution order, so all logs of one transaction
-        // are consecutive: the transaction lookup, the marketplace
-        // attribution and the ERC-20 payment-log decode are resolved once
-        // per transaction and reused for every ERC-721 log it carries.
-        let mut payment: Option<TxPayment> = None;
-        for entry in entries {
-            let Some(decoded) = entry.log.decode_erc721_transfer() else {
-                continue;
-            };
-            if !self.compliant_contracts.contains(&decoded.contract) {
-                continue;
-            }
-            if payment.as_ref().map(|cached| cached.tx_hash) != Some(entry.tx_hash) {
-                let tx = chain
-                    .transaction(entry.tx_hash)
-                    .expect("log entries reference existing transactions");
-                payment = Some(TxPayment::resolve(tx, directory));
-            }
-            let payment = payment.as_ref().expect("payment context resolved above");
-            let nft = self.push_transfer(&NftTransfer {
-                nft: NftId::new(decoded.contract, decoded.token_id),
-                from: decoded.from,
-                to: decoded.to,
-                tx_hash: entry.tx_hash,
-                block: entry.block,
-                timestamp: entry.timestamp,
-                price: payment.price_paid_by(decoded.to),
-                marketplace: payment.marketplace,
-            });
-            applied.dirty.push(nft);
-            applied.appended += 1;
-        }
-        applied.dirty.sort_unstable();
-        applied.dirty.dedup();
-        // Under the ordering contract above, every appended suffix is
-        // chronological and lands after the existing tail, so the per-NFT
-        // row slices stay sorted without re-sorting (a per-epoch re-sort
-        // would make hot NFTs superlinear over a long stream). Debug builds
-        // verify the contract instead.
-        #[cfg(debug_assertions)]
-        for nft in &applied.dirty {
-            let rows = self.columns.rows_of(*nft);
-            debug_assert!(
-                rows.windows(2).all(|w| {
-                    (self.columns.block[w[0] as usize], self.columns.timestamp[w[0] as usize])
-                        <= (
-                            self.columns.block[w[1] as usize],
-                            self.columns.timestamp[w[1] as usize],
-                        )
-                }),
-                "apply_entries received out-of-order entries for {nft:?}"
-            );
-        }
-        applied
-    }
-
     /// Probe `contract` for ERC-721 compliance — the structural equivalent
     /// of calling `supportsInterface(0x80ac58cd)` — unless a verdict is
-    /// already cached. The single probe rule every ingest path
-    /// ([`Dataset::apply_entries`] and the sharded commit phase) shares, so
-    /// the verdict sets cannot diverge between them.
+    /// already cached. The ingest commit calls it for every emitting
+    /// contract, in chain order.
     pub(crate) fn probe_contract(&mut self, chain: &Chain, contract: Address) {
         if self.compliant_contracts.contains(&contract)
             || self.non_compliant_contracts.contains(&contract)
@@ -477,6 +395,10 @@ mod tests {
         let bob = chain.create_eoa("bob").unwrap();
         chain.fund(alice, Wei::from_eth(50.0));
         chain.fund(bob, Wei::from_eth(50.0));
+        // One block per transaction, so block ranges can slice between them.
+        let next_block = |chain: &mut Chain| {
+            chain.advance_to(chain.current_timestamp().plus_secs(13)).unwrap();
+        };
 
         // Mint + marketplace sale on the compliant collection.
         let (nft, mint_log) = tokens.erc721_mut(good).unwrap().mint(alice);
@@ -493,6 +415,7 @@ mod tests {
                 .with_log(mint_log),
             )
             .unwrap();
+        next_block(&mut chain);
         engines[0]
             .execute_sale(
                 &mut chain,
@@ -506,6 +429,7 @@ mod tests {
             .unwrap();
 
         // A transfer on the rogue (non-compliant) collection.
+        next_block(&mut chain);
         let (rogue_nft, rogue_mint) = tokens.erc721_mut(rogue).unwrap().mint(alice);
         chain
             .submit(
@@ -522,6 +446,7 @@ mod tests {
             .unwrap();
         let rogue_log =
             tokens.erc721_mut(rogue).unwrap().transfer(alice, bob, rogue_nft.token_id).unwrap();
+        next_block(&mut chain);
         chain
             .submit(TxRequest {
                 from: bob,
@@ -613,6 +538,33 @@ mod tests {
     }
 
     #[test]
+    fn padded_address_topics_count_as_raw_events_but_yield_no_transfer() {
+        let mut chain = Chain::new(Timestamp::from_secs(1_640_995_200));
+        let mut tokens = TokenRegistry::new();
+        let genesis = chain.current_timestamp();
+        let collection = tokens.deploy_erc721(&mut chain, "pad", "Pad", true, genesis).unwrap();
+        let alice = chain.create_eoa("alice").unwrap();
+        chain.fund(alice, Wei::from_eth(5.0));
+        let mint = ethsim::Log::erc721_transfer(collection, Address::NULL, alice, 5);
+        // `Transfer(X', X, 5)` with X' = 0xff…ff‖X: the low 20 bytes of the
+        // `from` topic spell alice, so a decoder ignoring the padding reads
+        // alice → alice, a self-loop.
+        let mut padded = ethsim::Log::erc721_transfer(collection, alice, alice, 5);
+        padded.topics[1].0[..12].fill(0xff);
+        for log in [mint, padded] {
+            let call = Selector::of("transferFrom(address,address,uint256)");
+            let gas_price = Wei::from_gwei(30);
+            let request =
+                TxRequest::contract_call(alice, collection, call, Wei::ZERO, 90_000, gas_price);
+            chain.submit(request.with_log(log)).unwrap();
+        }
+        let dataset = Dataset::build(&chain, &MarketplaceDirectory::new());
+        assert_eq!(dataset.raw_transfer_events, 2);
+        assert_eq!(dataset.transfer_count(), 1);
+        assert_eq!(dataset.transfers_of(NftId::new(collection, 5))[0].from, Address::NULL);
+    }
+
+    #[test]
     fn accounts_cover_all_transfer_parties_in_sorted_order() {
         let (chain, _tokens, directory, _) = build_world();
         let dataset = Dataset::build(&chain, &directory);
@@ -627,12 +579,21 @@ mod tests {
     fn incremental_application_matches_one_shot_build() {
         let (chain, _tokens, directory, _) = build_world();
         let batch = Dataset::build(&chain, &directory);
-        // Replay the same logs in two slices through the incremental seam.
+        // Replay the same logs in two block ranges, cut where half of them
+        // have been seen.
         let entries = chain.logs(&Dataset::transfer_filter());
-        let mut incremental = Dataset::default();
         let split = entries.len() / 2;
-        let first = incremental.apply_entries(&chain, &directory, &entries[..split]);
-        let second = incremental.apply_entries(&chain, &directory, &entries[split..]);
+        let cut = entries[split].block;
+        assert!(entries[split - 1].block < cut, "the cut falls between blocks");
+        let executor = Executor::new(1);
+        let mut incremental = Dataset::default();
+        let before = BlockNumber(cut.0 - 1);
+        let tip = chain.current_block_number();
+        let first =
+            incremental.ingest_blocks(&chain, &directory, BlockNumber(0), before, &executor);
+        let second = incremental.ingest_blocks(&chain, &directory, cut, tip, &executor);
+        assert_eq!(incremental.raw_transfer_events, entries.len());
+        assert_eq!(first.appended, 2, "the good collection's mint and sale");
         assert_eq!(first.appended + second.appended, batch.transfer_count());
         assert!(first.dirty.windows(2).all(|w| w[0] < w[1]));
         // Columns, id assignment and verdicts are all identical: the interner

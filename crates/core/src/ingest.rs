@@ -1,56 +1,41 @@
-//! Three-phase parallel ingestion: the §III-A dataset build split into a
-//! block-sharded **decode** phase, a serial **reconcile** phase, and a
-//! parallel **splice** phase.
-//!
-//! Earlier revisions decoded shards in parallel but funnelled every transfer
-//! through a serial probe-and-commit loop — interning and column appends were
-//! the pipeline's last serial stage. This module parallelizes the commit too:
+//! Two-phase ingestion: the §III-A dataset build as a block-sharded
+//! parallel **decode** and one serial **commit**.
 //!
 //! ```text
 //!   blocks [from, to]
 //!   ───────────────► shard_blocks ───┬───────┬─────────┐
 //!                                    ▼       ▼         ▼
-//!   ┌── phase 1: decode (parallel, read-only) ──────────────────────────┐
-//!   │ per shard: borrow logs via for_each_log_in_blocks, probe ERC-721  │
-//!   │ compliance (pure code inspection; shared verdicts read-only, new  │
-//!   │ verdicts collected per shard), resolve the payment once per tx,   │
-//!   │ and intern speculatively against an Interner snapshot: known      │
-//!   │ entities keep their ids, new ones get provisional slots           │
-//!   │ `base + i` and a contender list → SpecRow batches                 │
+//!   ┌── decode (parallel, read-only) ───────────────────────────────────┐
+//!   │ per shard: borrow logs via for_each_log_in_blocks, skip contracts │
+//!   │ already known to fail the compliance probe, resolve the payment   │
+//!   │ once per tx → the shard's transfers and emitting-contract runs    │
 //!   └───────────────────────────┬───────────────────────────────────────┘
 //!                               ▼  (shards in block order)
-//!   ┌── phase 2: reconcile (serial, cheap) ─────────────────────────────┐
-//!   │ merge probe verdicts into the shared sets; intern each shard's    │
-//!   │ contenders in shard × first-encounter order — idempotent, so the  │
-//!   │ dense ids land exactly as a serial first-occurrence scan would —  │
-//!   │ yielding one slot→id remap table per shard                        │
-//!   └───────────────────────────┬───────────────────────────────────────┘
-//!                               ▼
-//!   ┌── phase 3: splice (parallel rewrite, ordered concat) ─────────────┐
-//!   │ per shard: rewrite provisional slots through the remap into a     │
-//!   │ ColumnSegment; then concatenate the segments into TransferColumns │
-//!   │ in shard order — equivalent to push_transfer row by row           │
+//!   ┌── commit (serial) ────────────────────────────────────────────────┐
+//!   │ per shard: probe its contracts (Dataset::probe_contract), then    │
+//!   │ intern and append its compliant transfers through                 │
+//!   │ Dataset::push_transfer                                            │
 //!   └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Phase 2 is the only serial work left and it is proportional to the number
-//! of *new* entities and contracts, not to the transfer count. Because the
-//! shards partition the block range contiguously, compliance probes are pure
-//! functions of contract code, and reconciliation walks shards in block
-//! order, the verdict sets, interner tables and columns are bit-identical to
-//! the serial scan at any thread count and epoch slicing (pinned by
-//! `tests/parallel_ingest.rs` and the golden report). When the executor is
-//! single-threaded or the range yields one shard, the legacy two-phase
-//! serial commit runs instead — same result, none of the speculation
-//! overhead — and that fallback is itself pinned against the parallel path.
+//! The shards partition the block range contiguously and the commit walks
+//! them in block order, so the verdict sets, interner tables and columns
+//! are exactly those of a serial scan, at any thread count and epoch slicing
+//! (pinned by `tests/parallel_ingest.rs` and the golden report). One thread
+//! means one shard; the code path is the same.
+//!
+//! The commit stays serial on purpose. A parallel commit (speculative
+//! interning per shard, a serial reconcile of new entities, a parallel
+//! splice of column segments) was measured against it on the Large world
+//! on a 2-vCPU host: +27% whole-chain ingest at one thread, even at two, and
+//! ≈ 50% slower on 80-block tail epochs at two. It won only at paper scale,
+//! where ingest is under a tenth of a batch run (see the README).
 
-use ethsim::fxhash::{FxHashMap, FxHashSet};
-use ethsim::{Address, BlockNumber, BlockSpan, Chain, Timestamp, Transaction, TxHash, Wei};
-use ids::{AccountId, InternerSnapshot, MarketId, NewEntities, NftKey, SpeculativeInterner};
+use ethsim::fxhash::FxHashSet;
+use ethsim::{Address, BlockNumber, BlockSpan, Chain, Transaction, TxHash, Wei};
 use marketplace::MarketplaceDirectory;
 use tokens::NftId;
 
-use crate::columns::{ColumnSegment, TransferRow};
 use crate::dataset::{AppliedEntries, Dataset, NftTransfer};
 use crate::parallel::Executor;
 
@@ -59,11 +44,11 @@ use crate::parallel::Executor;
 /// marketplace attribution of the call target, and — only when no ETH was
 /// attached — the decoded ERC-20 transfer list the per-buyer price sums
 /// over.
-pub(crate) struct TxPayment {
+struct TxPayment {
     /// The transaction this context belongs to.
-    pub tx_hash: TxHash,
+    tx_hash: TxHash,
     /// The marketplace the transaction interacted with, if any.
-    pub marketplace: Option<Address>,
+    marketplace: Option<Address>,
     /// ETH attached to the transaction (the price when nonzero).
     value: Wei,
     /// `(payer, amount)` of each ERC-20 transfer log, decoded once; empty
@@ -73,7 +58,7 @@ pub(crate) struct TxPayment {
 
 impl TxPayment {
     /// Resolve the payment context of `tx`.
-    pub fn resolve(tx: &Transaction, directory: &MarketplaceDirectory) -> TxPayment {
+    fn resolve(tx: &Transaction, directory: &MarketplaceDirectory) -> TxPayment {
         let erc20 = if tx.value.is_zero() {
             tx.logs
                 .iter()
@@ -94,7 +79,7 @@ impl TxPayment {
     /// Amount paid by `buyer`: the ETH attached to the transaction, or —
     /// when the payment went through an ERC-20 token (e.g. WETH bids) — the
     /// sum the buyer sent in that token's transfer logs.
-    pub fn price_paid_by(&self, buyer: Address) -> Wei {
+    fn price_paid_by(&self, buyer: Address) -> Wei {
         if !self.value.is_zero() {
             return self.value;
         }
@@ -105,84 +90,17 @@ impl TxPayment {
 }
 
 /// What one decode shard produced, in execution order: the matching-log
-/// count, every decoded transfer (compliance still undecided — verdicts are
-/// a commit-phase concern), and the emitting contracts as first-seen runs.
-/// This is the legacy (serial-commit) batch shape, kept for the
-/// single-thread fallback.
+/// count, every decoded transfer (compliance still undecided for contracts
+/// first seen in this range — verdicts are a commit concern), and the
+/// emitting contracts as first-seen runs.
 struct ShardBatch {
     raw_events: usize,
     transfers: Vec<NftTransfer>,
     /// Contracts of the shard's matching logs, memoized per consecutive run
     /// (so the list is short, but every contract that emitted a matching log
     /// appears at least once — decode failures included, which the verdict
-    /// sets must cover just as the serial path's did).
+    /// sets must cover).
     contracts: Vec<Address>,
-}
-
-/// One compliant transfer in speculative form: entity fields are slots from
-/// a [`SpeculativeInterner`] — settled ids below the snapshot base,
-/// provisional contender slots at or above it.
-struct SpecRow {
-    nft: u32,
-    from: u32,
-    to: u32,
-    tx_hash: TxHash,
-    block: BlockNumber,
-    timestamp: Timestamp,
-    price: Wei,
-    marketplace: Option<u32>,
-}
-
-/// What one speculative decode shard produced: compliant rows with
-/// provisional slots, the shard's new-entity contender lists, and the
-/// compliance verdicts it probed for contracts undecided before this call.
-struct SpecBatch {
-    raw_events: usize,
-    rows: Vec<SpecRow>,
-    contenders: NewEntities,
-    /// `(contract, compliant)` in first-seen order; probes are pure code
-    /// inspection, so two shards probing the same contract agree.
-    probed: Vec<(Address, bool)>,
-}
-
-/// One shard's slot→id tables from reconciliation: contender slot `base + i`
-/// settles to entry `i`; slots below the base already are settled ids.
-struct ShardRemap {
-    account_base: u32,
-    accounts: Vec<AccountId>,
-    nft_base: u32,
-    nfts: Vec<NftKey>,
-    market_base: u32,
-    markets: Vec<MarketId>,
-}
-
-impl ShardRemap {
-    #[inline]
-    fn settle_account(&self, slot: u32) -> AccountId {
-        if slot < self.account_base {
-            AccountId(slot)
-        } else {
-            self.accounts[(slot - self.account_base) as usize]
-        }
-    }
-
-    #[inline]
-    fn settle_nft(&self, slot: u32) -> NftKey {
-        if slot < self.nft_base {
-            NftKey(slot)
-        } else {
-            self.nfts[(slot - self.nft_base) as usize]
-        }
-    }
-
-    #[inline]
-    fn settle_market(&self, slot: u32) -> MarketId {
-        if slot < self.market_base {
-            MarketId(slot)
-        } else {
-            self.markets[(slot - self.market_base) as usize]
-        }
-    }
 }
 
 /// Per-phase instrumentation of one [`Dataset::ingest_blocks_instrumented`]
@@ -191,12 +109,11 @@ impl ShardRemap {
 pub struct IngestMetrics {
     /// Wall time of the parallel decode fan-out, nanoseconds.
     pub decode_ns: u64,
-    /// Wall time of the whole commit (reconcile + splice on the parallel
-    /// path; the serial probe-and-commit on the fallback), nanoseconds.
+    /// Wall time of the serial probe-and-commit pass, nanoseconds.
     pub commit_ns: u64,
-    /// Wall time of the commit's serial fraction, nanoseconds: the
-    /// reconciliation pass on the parallel path, the entire commit on the
-    /// single-shard fallback (where all of it is serial).
+    /// Wall time of the commit's serial fraction, nanoseconds. The whole
+    /// commit is serial, so this always equals `commit_ns`; the benchmark
+    /// reports it as its own layer metric.
     pub reconcile_ns: u64,
     /// Decode shards the block range was split into.
     pub shards: usize,
@@ -216,15 +133,21 @@ impl IngestMetrics {
 }
 
 impl Dataset {
-    /// Ingest the ERC-721 transfers of blocks `[from, to]` through the
-    /// three-phase pipeline: parallel block-sharded decode with speculative
-    /// interning, serial reconcile, parallel splice (see the module docs for
-    /// the shape).
+    /// Ingest the ERC-721 transfers of blocks `[from, to]`: parallel
+    /// block-sharded decode, then one serial commit in shard order (see the
+    /// module docs for the shape). Returns the NFTs that gained transfers
+    /// and how many were appended.
     ///
-    /// Successive calls must cover disjoint, non-decreasing block ranges (as
-    /// a block cursor produces them) — the same contract as
-    /// [`Dataset::apply_entries`], to which this is bit-identical over the
-    /// same blocks, at any thread count.
+    /// Successive calls must cover disjoint, ascending block ranges (as a
+    /// block cursor produces them); under that contract the dataset is
+    /// identical to a one-shot [`Dataset::build`] over the same blocks, at
+    /// any thread count and slicing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and does not start after the block
+    /// of the last stored transfer: rows are appended without re-sorting, so
+    /// going back in the chain would unsort the per-NFT row slices.
     pub fn ingest_blocks(
         &mut self,
         chain: &Chain,
@@ -238,6 +161,10 @@ impl Dataset {
 
     /// [`Dataset::ingest_blocks`] with per-phase timing, for the benchmark's
     /// ingest layer metrics and the pipeline's stage metrics.
+    ///
+    /// # Panics
+    ///
+    /// As [`Dataset::ingest_blocks`].
     pub fn ingest_blocks_instrumented(
         &mut self,
         chain: &Chain,
@@ -246,66 +173,31 @@ impl Dataset {
         to: BlockNumber,
         executor: &Executor,
     ) -> (AppliedEntries, IngestMetrics) {
+        if let Some(&last) = self.columns.block.last() {
+            assert!(
+                from > to || from > last,
+                "ingest of blocks {}..={} goes back in the chain: block {} is already stored",
+                from.0,
+                to.0,
+                last.0
+            );
+        }
         let mut metrics = IngestMetrics::default();
-        let spans = chain.shard_blocks(from, to, executor.threads());
-        metrics.shards = spans.len();
-        metrics.threads = executor.threads_for(spans.len());
         let entities_before = (
             self.interner.account_count(),
             self.interner.nft_count(),
             self.interner.market_count(),
         );
-        let result = if metrics.threads <= 1 {
-            self.ingest_serial_commit(chain, directory, &spans, executor, &mut metrics)
-        } else {
-            self.ingest_parallel_commit(chain, directory, &spans, executor, &mut metrics)
-        };
-        self.record_ingest_metrics(&result.1, entities_before);
-        result
-    }
+        let spans = chain.shard_blocks(from, to, executor.threads());
+        metrics.shards = spans.len();
+        metrics.threads = executor.threads_for(spans.len());
 
-    /// Publish one ingest call's phase timings and entity deltas into the
-    /// process-wide metrics registry (`ingest.*` — see the README's metric
-    /// catalog). Purely observational: nothing here feeds back into results.
-    fn record_ingest_metrics(
-        &self,
-        metrics: &IngestMetrics,
-        entities_before: (usize, usize, usize),
-    ) {
-        if !obs::recording() {
-            return;
-        }
-        obs::counter!("ingest.calls");
-        obs::counter!("ingest.raw_events", metrics.raw_events as u64);
-        obs::counter!("ingest.transfers", metrics.appended as u64);
-        obs::counter!("ingest.shards", metrics.shards as u64);
-        obs::histogram!("ingest.decode_ns", metrics.decode_ns);
-        obs::histogram!("ingest.reconcile_ns", metrics.reconcile_ns);
-        obs::histogram!("ingest.splice_ns", metrics.commit_ns - metrics.reconcile_ns);
-        let (accounts, nfts, markets) = entities_before;
-        obs::counter!("ingest.new_accounts", (self.interner.account_count() - accounts) as u64);
-        obs::counter!("ingest.new_nfts", (self.interner.nft_count() - nfts) as u64);
-        obs::counter!("ingest.new_markets", (self.interner.market_count() - markets) as u64);
-    }
-
-    /// The legacy two-phase path: parallel decode into [`NftTransfer`]
-    /// batches, then one serial probe-and-commit loop. Runs when the
-    /// executor is single-threaded or the range yields a single shard —
-    /// the speculative machinery would only add overhead there.
-    fn ingest_serial_commit(
-        &mut self,
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        spans: &[BlockSpan],
-        executor: &Executor,
-        metrics: &mut IngestMetrics,
-    ) -> (AppliedEntries, IngestMetrics) {
         let started = std::time::Instant::now();
         let mut decode_trace = obs::trace::span("ingest.decode");
         decode_trace.attr("shards", spans.len() as u64);
         let non_compliant = &self.non_compliant_contracts;
         let batches =
-            executor.map(spans, |span| decode_span(chain, directory, non_compliant, *span));
+            executor.map(&spans, |span| decode_span(chain, directory, non_compliant, *span));
         decode_trace.finish();
         metrics.decode_ns = elapsed_ns(started);
 
@@ -315,10 +207,7 @@ impl Dataset {
         // sequence — and with it the verdict sets and the id assignment —
         // exactly.
         let started = std::time::Instant::now();
-        // The serial path folds reconcile and splice into one commit loop;
-        // trace it as the splice it replaces, flagged `serial`.
-        let mut splice_trace = obs::trace::span("ingest.splice");
-        splice_trace.attr("serial", 1);
+        let mut commit_trace = obs::trace::span("ingest.commit");
         let mut applied = AppliedEntries::default();
         let total: usize = batches.iter().map(|batch| batch.transfers.len()).sum();
         self.columns.reserve(total);
@@ -331,8 +220,7 @@ impl Dataset {
             metrics.raw_events += batch.raw_events;
             // Shard balance: how evenly decode distributed the rows.
             obs::histogram!("ingest.shard_transfers", batch.transfers.len() as u64);
-            // Compliance probe (§III-A) for contracts this shard saw first,
-            // through the same single probe rule `apply_entries` uses.
+            // Compliance probe (§III-A) for the contracts this shard saw.
             for &contract in &batch.contracts {
                 self.probe_contract(chain, contract);
             }
@@ -356,128 +244,44 @@ impl Dataset {
         applied.dirty.sort_unstable();
         applied.dirty.dedup();
         metrics.appended = applied.appended;
-        splice_trace.attr("appended", applied.appended as u64);
-        splice_trace.finish();
+        commit_trace.attr("appended", applied.appended as u64);
+        commit_trace.finish();
         metrics.commit_ns = elapsed_ns(started);
-        metrics.reconcile_ns = metrics.commit_ns; // all of it is serial here
-        (applied, *metrics)
+        metrics.reconcile_ns = metrics.commit_ns;
+        self.record_ingest_metrics(&metrics, entities_before);
+        (applied, metrics)
     }
 
-    /// The three-phase path: speculative decode, serial reconcile, parallel
-    /// rewrite + ordered splice.
-    fn ingest_parallel_commit(
-        &mut self,
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        spans: &[BlockSpan],
-        executor: &Executor,
-        metrics: &mut IngestMetrics,
-    ) -> (AppliedEntries, IngestMetrics) {
-        // Phase 1 — speculative decode: wholly read-only against the
-        // dataset. Shards see the verdicts and interned ids of every
-        // previous ingest call; entities first seen in this range get
-        // provisional slots above the snapshot base.
-        let started = std::time::Instant::now();
-        let mut decode_trace = obs::trace::span("ingest.decode");
-        decode_trace.attr("shards", spans.len() as u64);
-        let snapshot = self.interner.snapshot();
-        let account_base = snapshot.account_base();
-        let nft_base = snapshot.nft_base();
-        let market_base = snapshot.market_base();
-        let compliant = &self.compliant_contracts;
-        let non_compliant = &self.non_compliant_contracts;
-        let batches = executor.map(spans, |span| {
-            decode_speculate(chain, directory, compliant, non_compliant, snapshot, *span)
-        });
-        decode_trace.finish();
-        metrics.decode_ns = elapsed_ns(started);
-
-        // Phase 2 — serial reconcile, proportional to *new* entities only.
-        // Walking shards in block order and each shard's contenders in
-        // first-encounter order reproduces the serial first-occurrence id
-        // assignment: interning is idempotent, so a contender two shards
-        // both discovered settles on the id the earlier shard claims.
-        let started = std::time::Instant::now();
-        let mut reconcile_trace = obs::trace::span("ingest.reconcile");
-        reconcile_trace.attr("shards", batches.len() as u64);
-        let mut remaps: Vec<ShardRemap> = Vec::with_capacity(batches.len());
-        for batch in &batches {
-            self.raw_transfer_events += batch.raw_events;
-            metrics.raw_events += batch.raw_events;
-            // Shard balance: how evenly decode distributed the rows.
-            obs::histogram!("ingest.shard_transfers", batch.rows.len() as u64);
-            // Probes are pure code inspection, so shard-local verdicts merge
-            // by plain insert; re-inserting a contract another shard also
-            // probed is a no-op, and the insertion order matches the serial
-            // scan's first-occurrence order.
-            for &(contract, ok) in &batch.probed {
-                if ok {
-                    self.compliant_contracts.insert(contract);
-                } else {
-                    self.non_compliant_contracts.insert(contract);
-                }
-            }
-            remaps.push(ShardRemap {
-                account_base,
-                accounts: self.interner.reconcile_accounts(&batch.contenders.accounts),
-                nft_base,
-                nfts: self.interner.reconcile_nfts(&batch.contenders.nfts),
-                market_base,
-                markets: self.interner.reconcile_markets(&batch.contenders.markets),
-            });
+    /// Publish one ingest call's phase timings and entity deltas into the
+    /// process-wide metrics registry (`ingest.*` — see the README's metric
+    /// catalog). Purely observational: nothing here feeds back into results.
+    fn record_ingest_metrics(
+        &self,
+        metrics: &IngestMetrics,
+        entities_before: (usize, usize, usize),
+    ) {
+        if !obs::recording() {
+            return;
         }
-        reconcile_trace.finish();
-        metrics.reconcile_ns = elapsed_ns(started);
-
-        // Phase 3 — parallel rewrite of provisional slots into settled ids
-        // (one column segment per shard), then an ordered concat into the
-        // store. Segment order is shard order, so the row sequence equals
-        // the serial push sequence.
-        let started = std::time::Instant::now();
-        let mut splice_trace = obs::trace::span("ingest.splice");
-        let work: Vec<(SpecBatch, ShardRemap)> = batches.into_iter().zip(remaps).collect();
-        let mut segments = executor.map(&work, |(batch, remap)| {
-            let mut segment = ColumnSegment::with_capacity(batch.rows.len());
-            for row in &batch.rows {
-                segment.push(TransferRow {
-                    nft: remap.settle_nft(row.nft),
-                    from: remap.settle_account(row.from),
-                    to: remap.settle_account(row.to),
-                    tx_hash: row.tx_hash,
-                    block: row.block,
-                    timestamp: row.timestamp,
-                    price: row.price,
-                    marketplace: row.marketplace.map(|slot| remap.settle_market(slot)),
-                });
-            }
-            segment
-        });
-        let mut applied = AppliedEntries::default();
-        let total: usize = segments.iter().map(ColumnSegment::len).sum();
-        self.columns.reserve(total);
-        applied.dirty.reserve(total);
-        for segment in &mut segments {
-            applied.dirty.extend_from_slice(segment.nft_keys());
-            applied.appended += segment.len();
-            self.columns.splice(segment);
-        }
-        applied.dirty.sort_unstable();
-        applied.dirty.dedup();
-        metrics.appended = applied.appended;
-        splice_trace.attr("appended", applied.appended as u64);
-        splice_trace.finish();
-        metrics.commit_ns = metrics.reconcile_ns + elapsed_ns(started);
-        (applied, *metrics)
+        obs::counter!("ingest.calls");
+        obs::counter!("ingest.raw_events", metrics.raw_events as u64);
+        obs::counter!("ingest.transfers", metrics.appended as u64);
+        obs::counter!("ingest.shards", metrics.shards as u64);
+        obs::histogram!("ingest.decode_ns", metrics.decode_ns);
+        obs::histogram!("ingest.commit_ns", metrics.commit_ns);
+        let (accounts, nfts, markets) = entities_before;
+        obs::counter!("ingest.new_accounts", (self.interner.account_count() - accounts) as u64);
+        obs::counter!("ingest.new_nfts", (self.interner.nft_count() - nfts) as u64);
+        obs::counter!("ingest.new_markets", (self.interner.market_count() - markets) as u64);
     }
 }
 
-/// Decode one shard for the serial-commit fallback: scan the span's matching
-/// logs (borrowed, not cloned), resolve the payment once per transaction,
-/// and emit every decoded transfer plus the contract run-list, all in
-/// execution order. Purely read-only: `non_compliant` is the verdict cache
-/// as of previous ingest calls, used to drop known-bad contracts before any
-/// payment work; verdicts for contracts first seen here are decided at
-/// commit.
+/// Decode one shard: scan the span's matching logs (borrowed, not cloned),
+/// resolve the payment once per transaction, and emit every decoded
+/// transfer plus the contract run-list, all in execution order. Purely
+/// read-only: `non_compliant` is the verdict cache as of previous ingest
+/// calls, used to drop known-bad contracts before any payment work;
+/// verdicts for contracts first seen here are decided at commit.
 fn decode_span(
     chain: &Chain,
     directory: &MarketplaceDirectory,
@@ -535,84 +339,6 @@ fn decode_span(
     batch
 }
 
-/// Decode one shard speculatively: scan the span's matching logs, decide
-/// compliance per contract (shared verdict sets read-only, fresh probes
-/// collected — probes only inspect contract code, so they are safe to run
-/// concurrently and always agree across shards), resolve the payment once
-/// per transaction, and intern each compliant transfer's entities against
-/// the snapshot in the exact field order `push_transfer` uses (nft, from,
-/// to, marketplace) — which makes each shard's contender lists a faithful
-/// prefix-free record of its first encounters.
-fn decode_speculate(
-    chain: &Chain,
-    directory: &MarketplaceDirectory,
-    compliant: &FxHashSet<Address>,
-    non_compliant: &FxHashSet<Address>,
-    snapshot: InternerSnapshot<'_>,
-    span: BlockSpan,
-) -> SpecBatch {
-    let filter = Dataset::transfer_filter();
-    let mut interner = SpeculativeInterner::new(snapshot);
-    let mut rows: Vec<SpecRow> =
-        Vec::with_capacity(chain.transaction_count_in_blocks(span.first, span.last));
-    let mut raw_events = 0usize;
-    let mut probed: Vec<(Address, bool)> = Vec::new();
-    // Shard-local verdicts for contracts this shard probed (a contract can
-    // recur across runs); the shared sets stay untouched until reconcile.
-    let mut probed_cache: FxHashMap<Address, bool> = FxHashMap::default();
-    // One memoized verdict covers whole runs of same-contract logs.
-    let mut verdict: Option<(Address, bool)> = None;
-    let mut payment: Option<TxPayment> = None;
-    chain.for_each_log_in_blocks(span.first, span.last, &filter, |tx, _index, log| {
-        raw_events += 1;
-        let ok = match verdict {
-            Some((memoized, ok)) if memoized == log.address => ok,
-            _ => {
-                let ok = if compliant.contains(&log.address) {
-                    true
-                } else if non_compliant.contains(&log.address) {
-                    false
-                } else if let Some(&cached) = probed_cache.get(&log.address) {
-                    cached
-                } else {
-                    let supports = chain
-                        .code_at(log.address)
-                        .map(tokens::compliance::supports_erc721_interface)
-                        .unwrap_or(false);
-                    probed_cache.insert(log.address, supports);
-                    probed.push((log.address, supports));
-                    supports
-                };
-                verdict = Some((log.address, ok));
-                ok
-            }
-        };
-        if !ok {
-            return;
-        }
-        let Some(decoded) = log.decode_erc721_transfer() else {
-            return;
-        };
-        if payment.as_ref().map(|cached| cached.tx_hash) != Some(tx.hash) {
-            payment = Some(TxPayment::resolve(tx, directory));
-        }
-        let payment = payment.as_ref().expect("payment context resolved above");
-        // Field order mirrors `push_transfer`'s intern order (struct literal
-        // fields evaluate in source order): nft, from, to, marketplace.
-        rows.push(SpecRow {
-            nft: interner.intern_nft(NftId::new(decoded.contract, decoded.token_id)),
-            from: interner.intern_account(decoded.from),
-            to: interner.intern_account(decoded.to),
-            tx_hash: tx.hash,
-            block: tx.block,
-            timestamp: tx.timestamp,
-            price: payment.price_paid_by(decoded.to),
-            marketplace: payment.marketplace.map(|market| interner.intern_market(market)),
-        });
-    });
-    SpecBatch { raw_events, rows, contenders: interner.into_contenders(), probed }
-}
-
 fn elapsed_ns(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX)
 }
@@ -620,7 +346,8 @@ fn elapsed_ns(started: std::time::Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::{WorkloadConfig, World};
+    use ids::NftKey;
+    use workload::{EpochPlan, WorkloadConfig, World};
 
     #[test]
     fn sharded_ingest_matches_serial_build_at_every_thread_count() {
@@ -637,64 +364,95 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ingest_matches_apply_entries_over_the_same_blocks() {
+    fn sharded_ingest_matches_serial_ingest_over_the_same_blocks() {
         let world = World::generate(WorkloadConfig::small(23)).expect("world");
         let tip = world.chain.current_block_number();
-        let executor = Executor::new(4);
-
-        let mut sharded = Dataset::default();
         let mid = BlockNumber(tip.0 / 2);
-        let first =
-            sharded.ingest_blocks(&world.chain, &world.directory, BlockNumber(0), mid, &executor);
-        let second = sharded.ingest_blocks(
-            &world.chain,
-            &world.directory,
-            BlockNumber(mid.0 + 1),
-            tip,
-            &executor,
-        );
-
-        let mut reference = Dataset::default();
-        let entries_first =
-            world.chain.logs_in_blocks(BlockNumber(0), mid, &Dataset::transfer_filter());
-        let entries_second =
-            world.chain.logs_in_blocks(BlockNumber(mid.0 + 1), tip, &Dataset::transfer_filter());
-        let ref_first = reference.apply_entries(&world.chain, &world.directory, &entries_first);
-        let ref_second = reference.apply_entries(&world.chain, &world.directory, &entries_second);
-
+        let halves = [(BlockNumber(0), mid), (BlockNumber(mid.0 + 1), tip)];
+        let ingest = |threads: usize| {
+            let mut dataset = Dataset::default();
+            let deltas: Vec<AppliedEntries> = halves
+                .iter()
+                .map(|&(from, to)| {
+                    let executor = Executor::new(threads);
+                    dataset.ingest_blocks(&world.chain, &world.directory, from, to, &executor)
+                })
+                .collect();
+            (dataset, deltas)
+        };
+        let (sharded, sharded_deltas) = ingest(4);
+        let (reference, reference_deltas) = ingest(1);
         assert_eq!(sharded, reference);
-        assert_eq!(first, ref_first, "first epoch delta diverged");
-        assert_eq!(second, ref_second, "second epoch delta diverged");
+        assert_eq!(sharded, Dataset::build(&world.chain, &world.directory));
+        assert_eq!(sharded_deltas[0], reference_deltas[0], "first epoch delta diverged");
+        assert_eq!(sharded_deltas[1], reference_deltas[1], "second epoch delta diverged");
     }
 
     #[test]
-    fn single_thread_fallback_matches_parallel_commit_byte_for_byte() {
-        // The fallback (legacy serial commit) and the three-phase parallel
-        // commit must be indistinguishable: columns, interner tables,
-        // verdict sets and deltas alike.
-        let world = World::generate(WorkloadConfig::small(29)).expect("world");
-        let tip = world.chain.current_block_number();
+    fn ingest_deltas_match_the_appended_rows() {
+        // Generated worlds decode every matching log, so append one that no
+        // decoder accepts (a padded `from` topic): it counts as a raw event
+        // but yields no transfer.
+        let mut world = World::generate(WorkloadConfig::small(23)).expect("world");
+        let collection = world.collections[0];
+        let chain = &mut world.chain;
+        chain.advance_to(chain.current_timestamp().plus_secs(13)).expect("monotonic");
+        let sender = chain.create_eoa("padder").expect("fresh account");
+        chain.fund(sender, Wei::from_eth(1.0));
+        let mut padded = ethsim::Log::erc721_transfer(collection, sender, sender, 7);
+        padded.topics[1].0[0] = 0xff;
+        let call = ethsim::Selector::of("transferFrom(address,address,uint256)");
+        let request = ethsim::TxRequest::contract_call(
+            sender,
+            collection,
+            call,
+            Wei::ZERO,
+            90_000,
+            Wei::from_gwei(30),
+        );
+        chain.submit(request.with_log(padded)).expect("accepted");
+        let plan = EpochPlan::straddling(&world, 5);
+        let filter = Dataset::transfer_filter();
+        for threads in [1, 8] {
+            let executor = Executor::new(threads);
+            let mut dataset = Dataset::default();
+            let mut from = BlockNumber(0);
+            for &to in &plan.ends {
+                let rows_before = dataset.transfer_count();
+                let (applied, metrics) = dataset.ingest_blocks_instrumented(
+                    &world.chain,
+                    &world.directory,
+                    from,
+                    to,
+                    &executor,
+                );
+                let mut appended_keys: Vec<NftKey> = dataset.columns.nft[rows_before..].to_vec();
+                appended_keys.sort_unstable();
+                appended_keys.dedup();
+                let context = format!("blocks {}..={} at {threads} threads", from.0, to.0);
+                assert_eq!(applied.dirty, appended_keys, "{context}: dirty");
+                assert_eq!(applied.appended, dataset.transfer_count() - rows_before, "{context}");
+                assert_eq!(metrics.appended, applied.appended, "{context}");
+                assert_eq!(
+                    metrics.raw_events,
+                    world.chain.logs_in_blocks(from, to, &filter).len(),
+                    "{context}: raw events"
+                );
+                from = BlockNumber(to.0 + 1);
+            }
+            assert_eq!(dataset, Dataset::build(&world.chain, &world.directory));
+        }
+    }
 
-        let mut fallback = Dataset::default();
-        let fallback_delta = fallback.ingest_blocks(
-            &world.chain,
-            &world.directory,
-            BlockNumber(0),
-            tip,
-            &Executor::new(1),
-        );
-        let mut parallel = Dataset::default();
-        let parallel_delta = parallel.ingest_blocks(
-            &world.chain,
-            &world.directory,
-            BlockNumber(0),
-            tip,
-            &Executor::new(8),
-        );
-        assert_eq!(fallback, parallel);
-        assert_eq!(fallback_delta, parallel_delta);
-        assert_eq!(fallback.interner.accounts(), parallel.interner.accounts());
-        assert_eq!(fallback.interner.nfts(), parallel.interner.nfts());
+    #[test]
+    #[should_panic(expected = "goes back in the chain")]
+    fn ingest_that_goes_back_in_the_chain_panics() {
+        let world = World::generate(WorkloadConfig::small(23)).expect("world");
+        let tip = world.chain.current_block_number();
+        let executor = Executor::new(1);
+        let mut dataset = Dataset::build(&world.chain, &world.directory);
+        let last = *dataset.columns.block.last().expect("the world has transfers");
+        dataset.ingest_blocks(&world.chain, &world.directory, last, tip, &executor);
     }
 
     #[test]
@@ -720,21 +478,23 @@ mod tests {
     #[test]
     fn fallback_reports_a_fully_serial_commit() {
         let world = World::generate(WorkloadConfig::small(5)).expect("world");
-        let mut dataset = Dataset::default();
-        let (_, metrics) = dataset.ingest_blocks_instrumented(
-            &world.chain,
-            &world.directory,
-            BlockNumber(0),
-            world.chain.current_block_number(),
-            &Executor::new(1),
-        );
-        assert_eq!(metrics.threads, 1);
-        assert_eq!(
-            metrics.reconcile_ns, metrics.commit_ns,
-            "single-thread commit is serial end to end"
-        );
+        for threads in [1, 4] {
+            let mut dataset = Dataset::default();
+            let (_, metrics) = dataset.ingest_blocks_instrumented(
+                &world.chain,
+                &world.directory,
+                BlockNumber(0),
+                world.chain.current_block_number(),
+                &Executor::new(threads),
+            );
+            assert!((1..=threads).contains(&metrics.threads));
+            assert_eq!(
+                metrics.reconcile_ns, metrics.commit_ns,
+                "the commit is serial end to end at {threads} threads"
+            );
+            assert_eq!(metrics.decode_ns + metrics.commit_ns, metrics.total_ns());
+        }
     }
-
     #[test]
     fn payment_context_reproduces_per_log_resolution() {
         let world = World::generate(WorkloadConfig::small(11)).expect("world");

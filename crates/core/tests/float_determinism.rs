@@ -10,6 +10,7 @@
 //! tests pin that down with exact bit comparisons.
 
 use washtrade::dataset::Dataset;
+use washtrade::parallel::Executor;
 use washtrade::pipeline::{analyze_with, AnalysisInput, AnalysisOptions};
 use workload::{WorkloadConfig, World};
 
@@ -35,16 +36,18 @@ fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
     // The same chain ingested in many small epochs: interning order is
     // unchanged, but accumulation must not depend on it either way.
     let tip = world.chain.current_block_number().0;
+    let executor = Executor::new(1);
     let mut incremental = Dataset::default();
     let mut from = 0u64;
     while from <= tip {
         let last = (from + 17).min(tip);
-        let entries = world.chain.logs_in_blocks(
+        incremental.ingest_blocks(
+            &world.chain,
+            &world.directory,
             ethsim::BlockNumber(from),
             ethsim::BlockNumber(last),
-            &Dataset::transfer_filter(),
+            &executor,
         );
-        incremental.apply_entries(&world.chain, &world.directory, &entries);
         from = last + 1;
     }
 

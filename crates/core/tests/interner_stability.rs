@@ -123,15 +123,12 @@ fn epoch_by_epoch_interning_matches_one_shot_over_straddling_boundaries() {
         // middle of planted activities, so ids for an activity's accounts
         // are assigned across different epochs.
         let plan = EpochPlan::straddling(&world, 5);
+        let executor = Executor::new(1);
         let mut incremental = Dataset::default();
         let mut from = 0u64;
         for end in &plan.ends {
-            let entries = world.chain.logs_in_blocks(
-                ethsim::BlockNumber(from),
-                *end,
-                &Dataset::transfer_filter(),
-            );
-            incremental.apply_entries(&world.chain, &world.directory, &entries);
+            let first = ethsim::BlockNumber(from);
+            incremental.ingest_blocks(&world.chain, &world.directory, first, *end, &executor);
             from = end.0 + 1;
         }
 
@@ -196,18 +193,20 @@ proptest::proptest! {
         let batch = Dataset::build(&world.chain, &world.directory);
 
         let tip = world.chain.current_block_number().0;
+        let executor = Executor::new(1);
         let mut incremental = Dataset::default();
         let mut from = 0u64;
         let mut cycle = budgets.iter().cycle();
         while from <= tip {
             let budget = *cycle.next().expect("non-empty budgets");
             let last = (from + budget - 1).min(tip);
-            let entries = world.chain.logs_in_blocks(
+            incremental.ingest_blocks(
+                &world.chain,
+                &world.directory,
                 ethsim::BlockNumber(from),
                 ethsim::BlockNumber(last),
-                &Dataset::transfer_filter(),
+                &executor,
             );
-            incremental.apply_entries(&world.chain, &world.directory, &entries);
             from = last + 1;
         }
         proptest::prop_assert_eq!(&incremental, &batch);

@@ -132,20 +132,24 @@ impl Log {
 
     /// Decode as an ERC-721 transfer, if the shape matches. Token ids
     /// outside `u64` are dropped rather than truncated: keeping only the low
-    /// bits would merge two tokens of one contract into one NFT.
+    /// bits would merge two tokens of one contract into one NFT. So are
+    /// address topics with non-zero padding, which would otherwise alias the
+    /// account in their low 20 bytes.
     pub fn decode_erc721_transfer(&self) -> Option<Erc721Transfer> {
         if !self.is_erc721_transfer() {
             return None;
         }
         Some(Erc721Transfer {
             contract: self.address,
-            from: self.topics[1].to_address(),
-            to: self.topics[2].to_address(),
+            from: self.topics[1].to_address()?,
+            to: self.topics[2].to_address()?,
             token_id: u64::try_from(self.topics[3].to_u128()?).ok()?,
         })
     }
 
-    /// Decode as an ERC-20 transfer, if the shape matches.
+    /// Decode as an ERC-20 transfer, if the shape matches. Address topics
+    /// with non-zero padding are dropped, as in
+    /// [`Log::decode_erc721_transfer`].
     pub fn decode_erc20_transfer(&self) -> Option<Erc20Transfer> {
         if !self.is_erc20_transfer() {
             return None;
@@ -157,8 +161,8 @@ impl Log {
         word.copy_from_slice(&self.data);
         Some(Erc20Transfer {
             contract: self.address,
-            from: self.topics[1].to_address(),
-            to: self.topics[2].to_address(),
+            from: self.topics[1].to_address()?,
+            to: self.topics[2].to_address()?,
             amount: B256(word).to_u128()?,
         })
     }
@@ -199,6 +203,38 @@ mod tests {
         assert_eq!(log.decode_erc721_transfer(), None);
         log.topics[3] = B256::from_u128(u128::from(u64::MAX));
         assert_eq!(log.decode_erc721_transfer().map(|t| t.token_id), Some(u64::MAX));
+    }
+
+    /// `topic` with its first padding byte set: the low 20 bytes still spell
+    /// the original address.
+    fn dirty(topic: B256) -> B256 {
+        let mut bytes = topic.0;
+        bytes[0] = 0xff;
+        B256(bytes)
+    }
+
+    #[test]
+    fn erc721_padded_address_topics_are_dropped_not_aliased() {
+        let (from, to) = (Address::derived("seller"), Address::derived("buyer"));
+        let clean = Log::erc721_transfer(Address::derived("c"), from, to, 3);
+        assert!(clean.decode_erc721_transfer().is_some());
+        for topic in [1, 2] {
+            let mut log = clean.clone();
+            log.topics[topic] = dirty(log.topics[topic]);
+            assert_eq!(log.decode_erc721_transfer(), None, "dirty topic {topic}");
+        }
+    }
+
+    #[test]
+    fn erc20_padded_address_topics_are_dropped_not_aliased() {
+        let (from, to) = (Address::derived("payer"), Address::derived("payee"));
+        let clean = Log::erc20_transfer(Address::derived("weth"), from, to, 9);
+        assert!(clean.decode_erc20_transfer().is_some());
+        for topic in [1, 2] {
+            let mut log = clean.clone();
+            log.topics[topic] = dirty(log.topics[topic]);
+            assert_eq!(log.decode_erc20_transfer(), None, "dirty topic {topic}");
+        }
     }
 
     #[test]

@@ -193,11 +193,17 @@ impl B256 {
         Some(u128::from_be_bytes(low))
     }
 
-    /// Extract the trailing 20 bytes as an address (inverse of [`B256::from_address`]).
-    pub fn to_address(&self) -> Address {
+    /// Extract the trailing 20 bytes as an address (inverse of
+    /// [`B256::from_address`]). Returns `None` unless the 12 leading padding
+    /// bytes are zero: dropping them would map 2^96 distinct words onto one
+    /// account.
+    pub fn to_address(&self) -> Option<Address> {
+        if self.0[..12].iter().any(|b| *b != 0) {
+            return None;
+        }
         let mut bytes = [0u8; 20];
         bytes.copy_from_slice(&self.0[12..32]);
-        Address(bytes)
+        Some(Address(bytes))
     }
 
     /// Hex representation with `0x` prefix (66 characters total).
@@ -512,7 +518,13 @@ mod tests {
     fn b256_address_roundtrip() {
         let a = Address::derived("topic");
         let topic = B256::from_address(a);
-        assert_eq!(topic.to_address(), a);
+        assert_eq!(topic.to_address(), Some(a));
+        // A word with any non-zero padding byte is not an address.
+        for byte in [0, 11] {
+            let mut dirty = topic;
+            dirty.0[byte] = 0xff;
+            assert_eq!(dirty.to_address(), None, "padding byte {byte} set");
+        }
     }
 
     #[test]

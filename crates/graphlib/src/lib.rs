@@ -10,8 +10,10 @@
 //! * [`DiMultiGraph`] — a directed multigraph with parallel edges and
 //!   self-loops, generic over node keys and edge payloads;
 //! * [`scc::strongly_connected_components`] / [`scc::suspicious_components`]
-//!   — iterative Tarjan SCC plus the paper's "≥ 2 nodes or self-loop
-//!   singleton" filter, property-tested against a Kosaraju reference;
+//!   / [`scc::suspicious_components_masked`] — iterative Tarjan SCC plus the
+//!   paper's "≥ 2 nodes or self-loop singleton" filter, on the whole graph or
+//!   on a node subset, property-tested against a Kosaraju reference kept in
+//!   the tests;
 //! * [`pattern::PatternCatalogue`] — canonical forms for small digraphs and
 //!   the 12-pattern Fig. 7 catalogue.
 //!
@@ -43,8 +45,4 @@ pub mod scc;
 
 pub use multigraph::{DiMultiGraph, EdgeIndex, EdgeRef, NodeIndex};
 pub use pattern::{CanonicalDigraph, PatternCatalogue, PatternId, PatternSpec};
-pub use scc::{
-    kosaraju_scc, strongly_connected_components, strongly_connected_components_with,
-    suspicious_components, suspicious_components_masked, suspicious_components_masked_with,
-    SccScratch,
-};
+pub use scc::{strongly_connected_components, suspicious_components, suspicious_components_masked};

@@ -15,12 +15,11 @@
 //!   a node subset *without materializing the subgraph*: ring refinement
 //!   drops service accounts and contracts and re-runs SCC, and the masked
 //!   variant answers that query on the original graph directly,
-//! * [`SccScratch`] — reusable traversal buffers, so a caller sweeping many
-//!   graphs (one per NFT) pays for allocation once per thread instead of
-//!   once per graph; the convenience entry points reuse a thread-local
-//!   scratch automatically,
-//! * [`kosaraju_scc`] — an independent reference implementation used by the
-//!   property tests to cross-check Tarjan's output.
+//!
+//! Every entry point reuses a per-thread set of traversal buffers, so a
+//! sweep over many graphs (one per NFT) pays for allocation once per thread
+//! instead of once per graph. The tests cross-check Tarjan's output against
+//! an independent Kosaraju implementation.
 //!
 //! The traversal walks the graph's CSR adjacency slices
 //! ([`DiMultiGraph::outgoing_edges`]) in place: no per-node successor lists
@@ -48,7 +47,7 @@ enum Frame {
 /// reuses one scratch per worker thread, which removes every allocation
 /// from the steady state. A scratch is not tied to any particular graph.
 #[derive(Default)]
-pub struct SccScratch {
+pub(crate) struct SccScratch {
     index_of: Vec<usize>,
     lowlink: Vec<usize>,
     on_stack: Vec<bool>,
@@ -58,7 +57,7 @@ pub struct SccScratch {
 
 impl SccScratch {
     /// Fresh scratch with no capacity yet.
-    pub fn new() -> Self {
+    fn new() -> Self {
         SccScratch::default()
     }
 
@@ -181,20 +180,11 @@ fn tarjan<N: Eq + Hash + Clone, E>(
 /// algorithm), and node indices within a component are sorted ascending for
 /// deterministic output.
 ///
-/// Uses a per-thread [`SccScratch`]; callers managing their own buffers can
-/// use [`strongly_connected_components_with`].
+/// Uses the per-thread traversal buffers.
 pub fn strongly_connected_components<N: Eq + Hash + Clone, E>(
     graph: &DiMultiGraph<N, E>,
 ) -> Vec<Vec<NodeIndex>> {
     with_thread_scratch(|scratch| tarjan(graph, None, scratch))
-}
-
-/// [`strongly_connected_components`] with caller-provided scratch buffers.
-pub fn strongly_connected_components_with<N: Eq + Hash + Clone, E>(
-    graph: &DiMultiGraph<N, E>,
-    scratch: &mut SccScratch,
-) -> Vec<Vec<NodeIndex>> {
-    tarjan(graph, None, scratch)
 }
 
 /// The paper's candidate components: strongly connected components with at
@@ -221,15 +211,6 @@ pub fn suspicious_components_masked<N: Eq + Hash + Clone, E>(
     with_thread_scratch(|scratch| filter_suspicious(graph, tarjan(graph, Some(keep), scratch)))
 }
 
-/// [`suspicious_components_masked`] with caller-provided scratch buffers.
-pub fn suspicious_components_masked_with<N: Eq + Hash + Clone, E>(
-    graph: &DiMultiGraph<N, E>,
-    keep: &[bool],
-    scratch: &mut SccScratch,
-) -> Vec<Vec<NodeIndex>> {
-    filter_suspicious(graph, tarjan(graph, Some(keep), scratch))
-}
-
 /// Apply the "≥ 2 nodes or self-loop singleton" filter. A self-loop's two
 /// endpoints are the same node, so the check is mask-agnostic: a kept
 /// singleton's self-loop lies entirely inside any induced subgraph.
@@ -241,65 +222,6 @@ fn filter_suspicious<N: Eq + Hash + Clone, E>(
         .into_iter()
         .filter(|component| component.len() >= 2 || graph.has_self_loop(component[0]))
         .collect()
-}
-
-/// Reference Kosaraju implementation (two DFS passes), used to cross-validate
-/// the Tarjan implementation in tests. Returns components with sorted node
-/// indices; the set of components is identical to
-/// [`strongly_connected_components`] up to ordering.
-pub fn kosaraju_scc<N: Eq + Hash + Clone, E>(graph: &DiMultiGraph<N, E>) -> Vec<Vec<NodeIndex>> {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
-    let mut order: Vec<NodeIndex> = Vec::with_capacity(n);
-
-    // First pass: finish times on the forward graph (iterative DFS over the
-    // CSR slices; parallel edges revisit already-marked nodes, harmlessly).
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        visited[start] = true;
-        while let Some(&mut (v, ref mut position)) = stack.last_mut() {
-            let successors = graph.outgoing_edges(v);
-            if *position < successors.len() {
-                let w = graph.edge_target(successors[*position]);
-                *position += 1;
-                if !visited[w] {
-                    visited[w] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-
-    // Second pass: DFS on the reverse graph in reverse finish order.
-    let mut assigned = vec![usize::MAX; n];
-    let mut components: Vec<Vec<NodeIndex>> = Vec::new();
-    for &start in order.iter().rev() {
-        if assigned[start] != usize::MAX {
-            continue;
-        }
-        let component_id = components.len();
-        let mut component = Vec::new();
-        let mut stack = vec![start];
-        assigned[start] = component_id;
-        while let Some(v) = stack.pop() {
-            component.push(v);
-            for w in graph.predecessors_iter(v) {
-                if assigned[w] == usize::MAX {
-                    assigned[w] = component_id;
-                    stack.push(w);
-                }
-            }
-        }
-        component.sort_unstable();
-        components.push(component);
-    }
-    components
 }
 
 #[cfg(test)]
@@ -319,6 +241,65 @@ mod tests {
 
     fn normalize(mut components: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
         components.sort();
+        components
+    }
+
+    /// Reference Kosaraju implementation (two DFS passes), the independent
+    /// oracle the Tarjan implementation is cross-checked against. Returns
+    /// components with sorted node indices; the set of components is identical
+    /// to [`strongly_connected_components`] up to ordering.
+    fn kosaraju_scc<N: Eq + Hash + Clone, E>(graph: &DiMultiGraph<N, E>) -> Vec<Vec<NodeIndex>> {
+        let n = graph.node_count();
+        let mut visited = vec![false; n];
+        let mut order: Vec<NodeIndex> = Vec::with_capacity(n);
+
+        // First pass: finish times on the forward graph (iterative DFS over the
+        // CSR slices; parallel edges revisit already-marked nodes, harmlessly).
+        for start in 0..n {
+            if visited[start] {
+                continue;
+            }
+            let mut stack = vec![(start, 0usize)];
+            visited[start] = true;
+            while let Some(&mut (v, ref mut position)) = stack.last_mut() {
+                let successors = graph.outgoing_edges(v);
+                if *position < successors.len() {
+                    let w = graph.edge_target(successors[*position]);
+                    *position += 1;
+                    if !visited[w] {
+                        visited[w] = true;
+                        stack.push((w, 0));
+                    }
+                } else {
+                    order.push(v);
+                    stack.pop();
+                }
+            }
+        }
+
+        // Second pass: DFS on the reverse graph in reverse finish order.
+        let mut assigned = vec![usize::MAX; n];
+        let mut components: Vec<Vec<NodeIndex>> = Vec::new();
+        for &start in order.iter().rev() {
+            if assigned[start] != usize::MAX {
+                continue;
+            }
+            let component_id = components.len();
+            let mut component = Vec::new();
+            let mut stack = vec![start];
+            assigned[start] = component_id;
+            while let Some(v) = stack.pop() {
+                component.push(v);
+                for w in graph.predecessors_iter(v) {
+                    if assigned[w] == usize::MAX {
+                        assigned[w] = component_id;
+                        stack.push(w);
+                    }
+                }
+            }
+            component.sort_unstable();
+            components.push(component);
+        }
         components
     }
 
@@ -422,9 +403,9 @@ mod tests {
     fn scratch_is_reusable_across_graphs_of_different_sizes() {
         let mut scratch = SccScratch::new();
         let big = graph_from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        assert_eq!(strongly_connected_components_with(&big, &mut scratch).len(), 50);
+        assert_eq!(tarjan(&big, None, &mut scratch).len(), 50);
         let small = graph_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let sccs = strongly_connected_components_with(&small, &mut scratch);
+        let sccs = tarjan(&small, None, &mut scratch);
         assert_eq!(normalize(sccs), vec![vec![0, 1, 2]]);
         // And back up again.
         let cycle = graph_from_edges(10, &{
@@ -432,7 +413,7 @@ mod tests {
             e.push((9, 0));
             e
         });
-        assert_eq!(strongly_connected_components_with(&cycle, &mut scratch).len(), 1);
+        assert_eq!(tarjan(&cycle, None, &mut scratch).len(), 1);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! reassigned, and feeding the same entries epoch by epoch produces the same
 //! assignment as a one-shot pass — which is what lets the streaming
 //! subsystem share dense artifacts with the batch pipeline bit for bit.
+//! Ingest interns in one serial pass in chain execution order (decoding may
+//! fan out, interning never does), so first-seen order is chain order at
+//! any thread count.
 //! [`TxId`]s need no map at all: the transfer store appends rows in chain
 //! execution order, so one transaction's rows are consecutive and a row
 //! takes the next id exactly when its hash differs from the previous row's.
@@ -248,209 +251,6 @@ impl Interner {
     /// Number of interned marketplace contracts.
     pub fn market_count(&self) -> usize {
         self.markets.len()
-    }
-
-    // -- speculative interning ---------------------------------------------
-
-    /// Freeze a read-only view of the interner for a parallel phase: the
-    /// per-space base lengths plus shared lookups. Shards intern
-    /// speculatively against the snapshot through [`SpeculativeInterner`]
-    /// while the interner itself stays untouched.
-    pub fn snapshot(&self) -> InternerSnapshot<'_> {
-        InternerSnapshot {
-            interner: self,
-            account_base: self.accounts.len() as u32,
-            nft_base: self.nfts.len() as u32,
-            market_base: self.markets.len() as u32,
-        }
-    }
-
-    /// Commit one shard's new accounts in their first-encounter order,
-    /// returning the dense id each contender slot resolved to. Interning is
-    /// idempotent, so a contender another shard already claimed simply maps
-    /// to that earlier id — walking shards in order therefore reproduces the
-    /// serial first-occurrence assignment exactly.
-    pub fn reconcile_accounts(&mut self, contenders: &[Address]) -> Vec<AccountId> {
-        contenders.iter().map(|&address| self.intern_account(address)).collect()
-    }
-
-    /// [`Interner::reconcile_accounts`] for the NFT id space.
-    pub fn reconcile_nfts(&mut self, contenders: &[NftId]) -> Vec<NftKey> {
-        contenders.iter().map(|&nft| self.intern_nft(nft)).collect()
-    }
-
-    /// [`Interner::reconcile_accounts`] for the marketplace id space.
-    pub fn reconcile_markets(&mut self, contenders: &[Address]) -> Vec<MarketId> {
-        contenders.iter().map(|&contract| self.intern_market(contract)).collect()
-    }
-}
-
-/// A read-only view of an [`Interner`] taken before a parallel phase.
-///
-/// The snapshot pins each id space's **base** (its length at capture time),
-/// which gives speculative ids an unambiguous encoding: a slot below the
-/// base is a settled global id; a slot at or above it is `base + i`, the
-/// shard's `i`-th new contender in that space, resolved to a real id during
-/// reconciliation. The underlying interner must not be mutated while
-/// snapshots of it are alive — the borrow checker enforces exactly that.
-#[derive(Debug, Clone, Copy)]
-pub struct InternerSnapshot<'a> {
-    interner: &'a Interner,
-    account_base: u32,
-    nft_base: u32,
-    market_base: u32,
-}
-
-impl<'a> InternerSnapshot<'a> {
-    /// Number of accounts settled at capture time; speculative account slots
-    /// start here.
-    pub fn account_base(&self) -> u32 {
-        self.account_base
-    }
-
-    /// Number of NFTs settled at capture time.
-    pub fn nft_base(&self) -> u32 {
-        self.nft_base
-    }
-
-    /// Number of marketplaces settled at capture time.
-    pub fn market_base(&self) -> u32 {
-        self.market_base
-    }
-
-    /// The settled id of `address`, if it was interned before the snapshot.
-    pub fn account_id(&self, address: Address) -> Option<AccountId> {
-        self.interner.account_id(address)
-    }
-
-    /// The settled key of `nft`, if it was interned before the snapshot.
-    pub fn nft_key(&self, nft: NftId) -> Option<NftKey> {
-        self.interner.nft_key(nft)
-    }
-
-    /// The settled id of marketplace `contract`, if interned before the
-    /// snapshot.
-    pub fn market_id(&self, contract: Address) -> Option<MarketId> {
-        self.interner.market_id(contract)
-    }
-}
-
-/// The new entities one shard discovered, per id space, in first-encounter
-/// order — the contender lists serial reconciliation walks.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NewEntities {
-    /// Accounts not in the snapshot, in the order this shard first saw them.
-    pub accounts: Vec<Address>,
-    /// NFTs not in the snapshot, in first-seen order.
-    pub nfts: Vec<NftId>,
-    /// Marketplace contracts not in the snapshot, in first-seen order.
-    pub markets: Vec<Address>,
-}
-
-impl NewEntities {
-    /// Whether the shard discovered nothing new in any id space.
-    pub fn is_empty(&self) -> bool {
-        self.accounts.is_empty() && self.nfts.is_empty() && self.markets.is_empty()
-    }
-}
-
-/// A shard-local interner that never mutates the shared tables: known
-/// entities resolve through the [`InternerSnapshot`], unknown ones get
-/// provisional slots `base + i` and are collected as contenders
-/// ([`SpeculativeInterner::into_contenders`]) for serial reconciliation.
-///
-/// # Examples
-///
-/// ```
-/// use ethsim::Address;
-/// use ids::{Interner, SpeculativeInterner};
-///
-/// let mut interner = Interner::new();
-/// let known = interner.intern_account(Address::derived("known"));
-/// let snapshot = interner.snapshot();
-/// let base = snapshot.account_base();
-/// let mut shard = SpeculativeInterner::new(snapshot);
-/// assert_eq!(shard.intern_account(Address::derived("known")), known.0);
-/// let slot = shard.intern_account(Address::derived("new"));
-/// assert_eq!(slot, base); // first contender
-/// let contenders = shard.into_contenders();
-/// let remap = interner.reconcile_accounts(&contenders.accounts);
-/// assert_eq!(remap[(slot - base) as usize].0, 1);
-/// ```
-#[derive(Debug)]
-pub struct SpeculativeInterner<'a> {
-    snapshot: InternerSnapshot<'a>,
-    new_accounts: Vec<Address>,
-    account_slots: FxHashMap<Address, u32>,
-    new_nfts: Vec<NftId>,
-    nft_slots: FxHashMap<NftId, u32>,
-    new_markets: Vec<Address>,
-    market_slots: FxHashMap<Address, u32>,
-}
-
-impl<'a> SpeculativeInterner<'a> {
-    /// A shard-local interner over `snapshot`, with no contenders yet.
-    pub fn new(snapshot: InternerSnapshot<'a>) -> Self {
-        SpeculativeInterner {
-            snapshot,
-            new_accounts: Vec::new(),
-            account_slots: FxHashMap::default(),
-            new_nfts: Vec::new(),
-            nft_slots: FxHashMap::default(),
-            new_markets: Vec::new(),
-            market_slots: FxHashMap::default(),
-        }
-    }
-
-    /// The speculative slot of `address`: its settled id if the snapshot
-    /// knows it, otherwise `account_base + i` for the shard's `i`-th new
-    /// account.
-    pub fn intern_account(&mut self, address: Address) -> u32 {
-        if let Some(id) = self.snapshot.account_id(address) {
-            return id.0;
-        }
-        if let Some(&slot) = self.account_slots.get(&address) {
-            return slot;
-        }
-        let slot = self.snapshot.account_base + self.new_accounts.len() as u32;
-        self.account_slots.insert(address, slot);
-        self.new_accounts.push(address);
-        slot
-    }
-
-    /// The speculative slot of `nft` (see [`Self::intern_account`]).
-    pub fn intern_nft(&mut self, nft: NftId) -> u32 {
-        if let Some(key) = self.snapshot.nft_key(nft) {
-            return key.0;
-        }
-        if let Some(&slot) = self.nft_slots.get(&nft) {
-            return slot;
-        }
-        let slot = self.snapshot.nft_base + self.new_nfts.len() as u32;
-        self.nft_slots.insert(nft, slot);
-        self.new_nfts.push(nft);
-        slot
-    }
-
-    /// The speculative slot of marketplace `contract` (see
-    /// [`Self::intern_account`]).
-    pub fn intern_market(&mut self, contract: Address) -> u32 {
-        if let Some(id) = self.snapshot.market_id(contract) {
-            return id.0;
-        }
-        if let Some(&slot) = self.market_slots.get(&contract) {
-            return slot;
-        }
-        let slot = self.snapshot.market_base + self.new_markets.len() as u32;
-        self.market_slots.insert(contract, slot);
-        self.new_markets.push(contract);
-        slot
-    }
-
-    /// Finish the shard, yielding its contender lists in first-encounter
-    /// order (slot `base + i` is entry `i` of the matching list).
-    pub fn into_contenders(self) -> NewEntities {
-        NewEntities { accounts: self.new_accounts, nfts: self.new_nfts, markets: self.new_markets }
     }
 }
 
@@ -707,78 +507,6 @@ mod tests {
         assert_eq!(interner.nft(key), NftId::new(contract, 7));
         assert_eq!(interner.market(market), Address::derived("opensea"));
         assert_eq!(interner.nft_key(NftId::new(contract, 8)), None);
-    }
-
-    #[test]
-    fn speculative_same_address_first_seen_in_two_shards_reconciles_to_one_id() {
-        // Two shards race to claim the same brand-new address: each gets the
-        // same provisional slot (they share the snapshot base and neither
-        // knows of the other), and reconciliation in shard order must settle
-        // both on the single id the first shard's contender list wins.
-        let mut interner = Interner::new();
-        interner.intern_account(Address::derived("settled"));
-        let snapshot = interner.snapshot();
-        let base = snapshot.account_base();
-        let mut shard_a = SpeculativeInterner::new(snapshot);
-        let mut shard_b = SpeculativeInterner::new(snapshot);
-        let contested = Address::derived("contested");
-        let slot_a = shard_a.intern_account(contested);
-        let only_b = shard_b.intern_account(Address::derived("only-in-b"));
-        let slot_b = shard_b.intern_account(contested);
-        assert_eq!(slot_a, base);
-        assert_eq!(slot_b, base + 1, "b saw its own entity first");
-
-        let contenders_a = shard_a.into_contenders();
-        let contenders_b = shard_b.into_contenders();
-        let remap_a = interner.reconcile_accounts(&contenders_a.accounts);
-        let remap_b = interner.reconcile_accounts(&contenders_b.accounts);
-        let settled_a = remap_a[(slot_a - base) as usize];
-        let settled_b = remap_b[(slot_b - base) as usize];
-        assert_eq!(settled_a, settled_b, "both shards settle on one dense id");
-        assert_eq!(settled_a.0, 1, "first unsettled id after the snapshot");
-        assert_eq!(remap_b[(only_b - base) as usize].0, 2);
-        assert_eq!(interner.account_count(), 3, "contested address interned once");
-    }
-
-    #[test]
-    fn speculative_shard_with_zero_new_ids_contributes_nothing() {
-        let mut interner = Interner::new();
-        let known_account = interner.intern_account(Address::derived("a"));
-        let known_nft = interner.intern_nft(NftId::new(Address::derived("c"), 1));
-        let known_market = interner.intern_market(Address::derived("m"));
-        let before = interner.clone();
-        let snapshot = interner.snapshot();
-        let mut shard = SpeculativeInterner::new(snapshot);
-        assert_eq!(shard.intern_account(Address::derived("a")), known_account.0);
-        assert_eq!(shard.intern_nft(NftId::new(Address::derived("c"), 1)), known_nft.0);
-        assert_eq!(shard.intern_market(Address::derived("m")), known_market.0);
-        let contenders = shard.into_contenders();
-        assert!(contenders.is_empty());
-        assert!(interner.reconcile_accounts(&contenders.accounts).is_empty());
-        assert!(interner.reconcile_nfts(&contenders.nfts).is_empty());
-        assert!(interner.reconcile_markets(&contenders.markets).is_empty());
-        assert_eq!(interner, before, "reconciling an empty shard is a no-op");
-    }
-
-    #[test]
-    fn speculative_slots_are_per_space_and_repeat_stable() {
-        let mut interner = Interner::new();
-        let snapshot = interner.snapshot();
-        let mut shard = SpeculativeInterner::new(snapshot);
-        let account = shard.intern_account(Address::derived("x"));
-        let nft = shard.intern_nft(NftId::new(Address::derived("c"), 9));
-        let market = shard.intern_market(Address::derived("x"));
-        // Same address in two spaces gets independent slots; repeats return
-        // the first slot.
-        assert_eq!((account, nft, market), (0, 0, 0));
-        assert_eq!(shard.intern_account(Address::derived("x")), account);
-        assert_eq!(shard.intern_market(Address::derived("x")), market);
-        let contenders = shard.into_contenders();
-        assert_eq!(contenders.accounts.len(), 1);
-        assert_eq!(contenders.nfts.len(), 1);
-        assert_eq!(contenders.markets.len(), 1);
-        let _ = interner.reconcile_accounts(&contenders.accounts);
-        assert_eq!(interner.account_count(), 1);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Immutable, `Arc`-shared segment storage — the serving-side twin of the
-//! core pipeline's `ColumnSegment`/splice machinery.
+//! Immutable, `Arc`-shared segment storage for delta-built snapshots.
 //!
 //! A [`SegmentedVec`] is a logically contiguous sequence stored as a list of
 //! immutable segments, each behind its own `Arc`. Two snapshots that agree

@@ -1,81 +1,15 @@
-//! Incremental dataset and graph maintenance: append-only layers over
-//! `washtrade`'s [`Dataset`] and [`NftGraph`] that grow with each ingested
-//! epoch instead of being rebuilt from scratch.
+//! Incremental graph maintenance: the per-NFT transaction graphs grown in
+//! place with each ingested epoch instead of being rebuilt from scratch.
 //!
-//! Both layers are dense: dirty sets are sorted `Vec<NftKey>`s and the graph
-//! table is a `Vec` indexed by [`NftKey`] — the stream never hashes an NFT
-//! identity after ingest.
+//! The epoch's transfers themselves are appended by
+//! [`Dataset::ingest_blocks_instrumented`](washtrade::dataset::Dataset::ingest_blocks_instrumented),
+//! whose sorted dirty set says which graphs to grow. The layer is dense: the
+//! graph table is a `Vec` indexed by [`NftKey`] — the stream never hashes an
+//! NFT identity after ingest.
 
-use ethsim::Chain;
 use ids::NftKey;
-use marketplace::MarketplaceDirectory;
 use washtrade::dataset::Dataset;
-use washtrade::parallel::Executor;
 use washtrade::txgraph::NftGraph;
-
-use crate::cursor::EpochSpan;
-
-/// What one ingested epoch changed in the dataset.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AppendDelta {
-    /// NFTs that gained at least one transfer, in ascending key order.
-    pub dirty: Vec<NftKey>,
-    /// Raw ERC-721-shaped logs scanned in the epoch (before compliance).
-    pub raw_events: usize,
-    /// Compliant transfers appended.
-    pub transfers: usize,
-}
-
-/// A [`Dataset`] grown epoch by epoch through the incremental
-/// [`Dataset::apply_entries`] seam.
-///
-/// Feeding a chain's blocks through `apply_span` in any epoch partition
-/// produces a dataset identical to a one-shot [`Dataset::build`] over the
-/// same chain — columns, id assignment and compliance verdicts alike
-/// (interning is append-only and first-seen order equals execution order).
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalDataset {
-    inner: Dataset,
-}
-
-impl IncrementalDataset {
-    /// An empty dataset, no blocks ingested yet.
-    pub fn new() -> Self {
-        IncrementalDataset::default()
-    }
-
-    /// Scan the span's blocks for ERC-721 transfers and append them,
-    /// returning what changed. Runs the same two-phase sharded ingest as the
-    /// batch path ([`Dataset::ingest_blocks`]): the span's blocks are the
-    /// shard boundaries, decoded in parallel over `executor` and committed
-    /// in order — so an epoch's cost parallelizes exactly like a batch
-    /// build's, and the resulting dataset stays bit-identical to it.
-    pub fn apply_span(
-        &mut self,
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        span: EpochSpan,
-        executor: &Executor,
-    ) -> AppendDelta {
-        let raw_before = self.inner.raw_transfer_events;
-        let applied = self.inner.ingest_blocks(chain, directory, span.first, span.last, executor);
-        AppendDelta {
-            dirty: applied.dirty,
-            raw_events: self.inner.raw_transfer_events - raw_before,
-            transfers: applied.appended,
-        }
-    }
-
-    /// The dataset accumulated so far.
-    pub fn dataset(&self) -> &Dataset {
-        &self.inner
-    }
-
-    /// Consume the layer, yielding the accumulated dataset.
-    pub fn into_dataset(self) -> Dataset {
-        self.inner
-    }
-}
 
 /// Per-NFT transaction graphs maintained in place, indexed by [`NftKey`]:
 /// each sync appends only the column rows an NFT gained since its last sync,

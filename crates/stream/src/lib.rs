@@ -8,11 +8,12 @@
 //!
 //! * [`BlockCursor`] tails an [`ethsim::Chain`] from a watermark block,
 //!   handing out contiguous ingestion epochs;
-//! * [`IncrementalDataset`] and [`IncrementalGraphs`] intern and append the
-//!   epoch's new transfers into the columnar store and grow the per-NFT
-//!   graphs in place, via the `apply_entries` / `apply_rows` seams in
-//!   `washtrade` (dirty sets travel as dense `Vec<NftKey>`s, the graph
-//!   table is `NftKey`-indexed);
+//! * each epoch's blocks go through the same `Dataset::ingest_blocks`
+//!   path as a batch build (parallel decode, one serial commit), which
+//!   interns and appends the new transfers into the columnar store, and
+//!   [`IncrementalGraphs`] grows the touched per-NFT graphs in place via
+//!   `NftGraph::apply_rows` (dirty sets travel as dense `Vec<NftKey>`s, the
+//!   graph table is `NftKey`-indexed);
 //! * [`StreamAnalyzer`] re-runs refinement and detection only for the
 //!   *dirty* NFT set (the NFTs touched since the last epoch), fanned out
 //!   over the shared `washtrade::parallel::Executor`, and re-assembles the
@@ -68,6 +69,6 @@ pub mod live;
 pub mod tail;
 
 pub use cursor::{BlockCursor, EpochSpan};
-pub use incremental::{AppendDelta, IncrementalDataset, IncrementalGraphs};
+pub use incremental::IncrementalGraphs;
 pub use live::{EpochDelta, LiveReport, NftStatus, StreamAnalyzer, StreamOptions};
 pub use tail::LegitVolumeSet;

@@ -1,8 +1,8 @@
-//! The live analyzer: a dirty-set scheduler over the incremental dataset and
-//! graphs that keeps a [`LiveReport`] continuously up to date and guarantees
-//! convergence to the batch result at the chain tip (see the mid-stream
-//! semantics note on [`StreamAnalyzer`] for what "up to date" means before
-//! the tip).
+//! The live analyzer: a dirty-set scheduler over the epoch-grown dataset and
+//! the incremental graphs that keeps a [`LiveReport`] continuously up to
+//! date and guarantees convergence to the batch result at the chain tip (see
+//! the mid-stream semantics note on [`StreamAnalyzer`] for what "up to date"
+//! means before the tip).
 //!
 //! Per epoch, only the NFTs touched by new transfers are re-refined and
 //! re-evaluated (a pure per-NFT computation, fanned out over the shared
@@ -32,7 +32,7 @@ use washtrade::characterize::{
     activity_facts, characterize, characterize_from_parts, market_totals, ActivityFacts,
     Characterization, CharacterizeBaseline,
 };
-use washtrade::dataset::{MarketVolumeFold, NftMarketLeaves};
+use washtrade::dataset::{Dataset, MarketVolumeFold, NftMarketLeaves};
 use washtrade::detect::{ConfirmedActivity, DenseActivity, DetectionOutcome, Detector, MethodSet};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::AnalysisInput;
@@ -48,7 +48,7 @@ use washtrade::txgraph::NftGraph;
 use washtrade_serve::{Snapshot, SnapshotMeta, SnapshotPublisher, WashVolumes};
 
 use crate::cursor::BlockCursor;
-use crate::incremental::{IncrementalDataset, IncrementalGraphs};
+use crate::incremental::IncrementalGraphs;
 use crate::tail::LegitVolumeSet;
 
 /// What one ingested epoch changed, as reported back to the caller and kept
@@ -215,7 +215,9 @@ pub struct StreamAnalyzer<'a> {
     input: AnalysisInput<'a>,
     executor: Executor,
     cursor: BlockCursor,
-    dataset: IncrementalDataset,
+    /// Grown one cursor span at a time through
+    /// [`Dataset::ingest_blocks_instrumented`].
+    dataset: Dataset,
     graphs: IncrementalGraphs,
     /// Per-NFT cache, indexed by [`NftKey`]; `None` for NFTs with no
     /// suspicious component at any stage.
@@ -291,11 +293,11 @@ impl<'a> StreamAnalyzer<'a> {
         options: StreamOptions,
         publisher: SnapshotPublisher,
     ) -> Self {
-        let empty = IncrementalDataset::new();
+        let empty = Dataset::default();
         let live = LiveReport {
             refinement: RefinementReport::default(),
             detection: DetectionOutcome::default(),
-            characterization: characterize(&[], empty.dataset(), input.directory, input.oracle),
+            characterization: characterize(&[], &empty, input.directory, input.oracle),
             rewards: reduce_rewards(std::iter::empty(), input.directory),
             resales: reduce_resales(std::iter::empty()),
             dataset_nfts: 0,
@@ -339,23 +341,28 @@ impl<'a> StreamAnalyzer<'a> {
         let span = self.cursor.next_epoch(self.input.chain, max_blocks)?;
         let started = Instant::now();
         // Root of this epoch's span tree: every traced phase below — the
-        // ingest decode/reconcile/splice, the dirty-set fan-out, reassembly,
-        // and the snapshot publish — parents under it.
+        // ingest decode and commit, the dirty-set fan-out, reassembly, and
+        // the snapshot publish — parents under it.
         let mut epoch_trace = obs::trace::span("stream.epoch");
         epoch_trace.attr("epoch", self.live.epochs.len() as u64);
         epoch_trace.attr("first_block", span.first.0);
         epoch_trace.attr("last_block", span.last.0);
 
-        let applied =
-            self.dataset.apply_span(self.input.chain, self.input.directory, span, &self.executor);
-        self.graphs.sync(self.dataset.dataset(), &applied.dirty);
+        let (applied, ingest) = self.dataset.ingest_blocks_instrumented(
+            self.input.chain,
+            self.input.directory,
+            span.first,
+            span.last,
+            &self.executor,
+        );
+        self.graphs.sync(&self.dataset, &applied.dirty);
 
         // Dirty-set re-detection: refinement, base evidence and the
         // characterize/profit leaf facts are pure per NFT, so only the
         // touched graphs are recomputed, fanned out over the executor.
         // `applied.dirty` is sorted, so the fan-out order — and with it
         // every downstream artifact — is thread-count independent.
-        let dataset = self.dataset.dataset();
+        let dataset = &self.dataset;
         let interner = &dataset.interner;
         let (chain, directory, oracle) =
             (self.input.chain, self.input.directory, self.input.oracle);
@@ -474,10 +481,10 @@ impl<'a> StreamAnalyzer<'a> {
             index: self.live.epochs.len(),
             first_block: span.first,
             last_block: span.last,
-            raw_events: applied.raw_events,
-            transfers: applied.transfers,
+            raw_events: ingest.raw_events,
+            transfers: applied.appended,
             dirty_nfts: applied.dirty.len(),
-            total_nfts: self.dataset.dataset().nft_count(),
+            total_nfts: self.dataset.nft_count(),
             new_suspects,
             lost_suspects,
             confirmed_total: self.live.detection.confirmed.len(),
@@ -557,7 +564,7 @@ impl<'a> StreamAnalyzer<'a> {
                 previous,
                 meta,
                 &self.dense_confirmed,
-                self.dataset.dataset(),
+                &self.dataset,
                 self.input.directory,
                 self.input.oracle,
                 &self.confirmed_at,
@@ -568,7 +575,7 @@ impl<'a> StreamAnalyzer<'a> {
             None => Snapshot::from_dense_with_marketplaces(
                 meta,
                 &self.dense_confirmed,
-                self.dataset.dataset(),
+                &self.dataset,
                 self.input.directory,
                 self.input.oracle,
                 &self.confirmed_at,
@@ -602,7 +609,7 @@ impl<'a> StreamAnalyzer<'a> {
         Snapshot::from_dense_with_marketplaces(
             self.current_meta(),
             &self.dense_confirmed,
-            self.dataset.dataset(),
+            &self.dataset,
             self.input.directory,
             self.input.oracle,
             &self.confirmed_at,
@@ -652,7 +659,7 @@ impl<'a> StreamAnalyzer<'a> {
     fn reassemble(&mut self, last_block: BlockNumber) -> Vec<GroupChange> {
         let _reassemble_span = obs::span!("stream.reassemble_ns");
         let _reassemble_trace = obs::trace::span("stream.reassemble");
-        let dataset = self.dataset.dataset();
+        let dataset = &self.dataset;
         let interner = &dataset.interner;
         let (directory, oracle) = (self.input.directory, self.input.oracle);
 
@@ -781,7 +788,7 @@ impl<'a> StreamAnalyzer<'a> {
     /// bit-identical to [`StreamAnalyzer::report`] after every epoch (the
     /// equivalence suite asserts it).
     pub fn rebuild_full_report(&self) -> LiveReport {
-        let dataset = self.dataset.dataset();
+        let dataset = &self.dataset;
         let interner = &dataset.interner;
         let refinement =
             aggregate_refinements(self.states.iter().flatten().map(|state| &state.refinement));
@@ -851,7 +858,7 @@ impl<'a> StreamAnalyzer<'a> {
                 volume: confirmed.iter().map(|candidate| candidate.volume).sum(),
             };
         }
-        let dataset = self.dataset.dataset();
+        let dataset = &self.dataset;
         let Some(key) = dataset.interner.nft_key(nft) else {
             return NftStatus::Unseen;
         };

@@ -255,12 +255,13 @@ fn partial_caches_survive_adversarial_transitions() {
     // NFT must gain transfers in two epochs that are not consecutive.
     let executor = washtrade::parallel::Executor::new(1);
     let mut cursor = washtrade_stream::BlockCursor::new();
-    let mut dataset = washtrade_stream::IncrementalDataset::new();
+    let mut dataset = washtrade::dataset::Dataset::default();
     let mut dirty_epochs: HashMap<u32, Vec<usize>> = HashMap::new();
     let mut index = 0usize;
     while let Some(span) = cursor.next_epoch(&world.chain, 7) {
-        let delta = dataset.apply_span(&world.chain, &world.directory, span, &executor);
-        for key in &delta.dirty {
+        let applied =
+            dataset.ingest_blocks(&world.chain, &world.directory, span.first, span.last, &executor);
+        for key in &applied.dirty {
             dirty_epochs.entry(key.0).or_default().push(index);
         }
         index += 1;

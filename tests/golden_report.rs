@@ -39,10 +39,11 @@ fn report_matches_pre_refactor_golden_snapshot() {
     diff_against_golden(&rendered, &golden);
 }
 
-/// The same golden gate with the thread budget pinned to 8: the parallel
-/// decode, commit splice and per-NFT fan-outs must reproduce the snapshot
-/// byte for byte when they actually fan out. CI runs this as its own named
-/// step so a parallelism-only regression is labelled unambiguously.
+/// The same golden gate with the thread budget pinned to 8: the sharded
+/// decode with its ordered commit and the per-NFT fan-outs must reproduce
+/// the snapshot byte for byte when they actually fan out. CI runs this as
+/// its own named step so a parallelism-only regression is labelled
+/// unambiguously.
 #[test]
 fn report_matches_golden_snapshot_at_eight_threads() {
     let world = World::generate(WorkloadConfig::small(2024)).expect("world");
