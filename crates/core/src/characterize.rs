@@ -373,29 +373,35 @@ pub fn characterize_with(
     characterize_from_parts(activities, &facts, baseline)
 }
 
-/// The final reduce of the two-level characterization: fold per-activity
-/// [`ActivityFacts`] (in activity order — the sorted confirmed order both
-/// pipelines share) and the dataset-level [`CharacterizeBaseline`] into the
-/// [`Characterization`]. Every floating-point fold here accumulates cached
-/// leaf values in exactly the order the one-level path accumulated freshly
-/// computed ones, so batch, batch-parallel and streaming-incremental callers
-/// produce bit-identical reports. Facts are borrowed, so a caller holding
-/// them in a cache (the streaming analyzer) hands them over without a copy.
-pub fn characterize_from_parts(
+/// Table II and the wash totals: the part of the §V characterization a
+/// published snapshot carries.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MarketplaceWash {
+    /// Table II rows, sorted by wash volume (USD) descending, then name.
+    pub rows: Vec<MarketplaceWashRow>,
+    /// Total wash-traded volume in USD.
+    pub total_volume_usd: f64,
+    /// Total wash-traded volume in ETH.
+    pub total_volume_eth: f64,
+}
+
+/// Fold per-activity [`ActivityFacts`] (in activity order, the sorted
+/// confirmed order both pipelines share) into Table II and the wash totals;
+/// `market_totals` gives each row's share of its marketplace's volume.
+/// [`characterize_from_parts`] runs this same fold, and the streaming
+/// analyzer runs it alone each epoch for the snapshot, so the rows and
+/// totals come out with the same bits either way.
+pub fn marketplace_wash(
     activities: &[DenseActivity],
     facts: &[&ActivityFacts],
-    baseline: CharacterizeBaseline,
-) -> Characterization {
+    market_totals: &HashMap<String, f64>,
+) -> MarketplaceWash {
     assert_eq!(activities.len(), facts.len(), "one facts record per activity");
-    let CharacterizeBaseline { market_totals, legit_volume_cdf, collection_created } = baseline;
-
-    // --- Volumes per marketplace (Table II) and per activity (Fig. 3). ---
     struct MarketAccumulator {
         nfts: BitSet,
         activities: usize,
         volume_eth: f64,
         volume_usd: f64,
-        activity_volumes_usd: Vec<f64>,
     }
     let mut per_market: HashMap<&str, MarketAccumulator> = HashMap::new();
     let mut total_volume_usd = 0.0;
@@ -410,24 +416,22 @@ pub fn characterize_from_parts(
                 activities: 0,
                 volume_eth: 0.0,
                 volume_usd: 0.0,
-                activity_volumes_usd: Vec::new(),
             });
         accumulator.nfts.insert(activity.nft().index());
         accumulator.activities += 1;
         accumulator.volume_eth += facts.volume_eth;
         accumulator.volume_usd += facts.volume_usd;
-        accumulator.activity_volumes_usd.push(facts.volume_usd);
     }
 
-    let mut per_marketplace: Vec<MarketplaceWashRow> = per_market
-        .iter()
+    let mut rows: Vec<MarketplaceWashRow> = per_market
+        .into_iter()
         .map(|(name, accumulator)| MarketplaceWashRow {
             name: name.to_string(),
             nfts: accumulator.nfts.len(),
             activities: accumulator.activities,
             volume_eth: accumulator.volume_eth,
             volume_usd: accumulator.volume_usd,
-            share_of_marketplace_volume: market_totals.get(*name).map(|total| {
+            share_of_marketplace_volume: market_totals.get(name).map(|total| {
                 if *total > 0.0 {
                     accumulator.volume_usd / total
                 } else {
@@ -436,13 +440,38 @@ pub fn characterize_from_parts(
             }),
         })
         .collect();
-    per_marketplace
-        .sort_by(|a, b| b.volume_usd.total_cmp(&a.volume_usd).then_with(|| a.name.cmp(&b.name)));
+    rows.sort_by(|a, b| b.volume_usd.total_cmp(&a.volume_usd).then_with(|| a.name.cmp(&b.name)));
+    MarketplaceWash { rows, total_volume_usd, total_volume_eth }
+}
 
+/// The final reduce of the two-level characterization: fold per-activity
+/// [`ActivityFacts`] (in activity order — the sorted confirmed order both
+/// pipelines share) and the dataset-level [`CharacterizeBaseline`] into the
+/// [`Characterization`]. Every floating-point fold here accumulates cached
+/// leaf values in exactly the order the one-level path accumulated freshly
+/// computed ones, so batch, batch-parallel and streaming-incremental callers
+/// produce bit-identical reports. Facts are borrowed, so a caller holding
+/// them in a cache (the streaming analyzer) hands them over without a copy.
+pub fn characterize_from_parts(
+    activities: &[DenseActivity],
+    facts: &[&ActivityFacts],
+    baseline: CharacterizeBaseline,
+) -> Characterization {
+    let CharacterizeBaseline { market_totals, legit_volume_cdf, collection_created } = baseline;
+
+    // --- Volumes per marketplace (Table II) and per activity (Fig. 3). ---
+    let MarketplaceWash { rows: per_marketplace, total_volume_usd, total_volume_eth } =
+        marketplace_wash(activities, facts, &market_totals);
     // Fig. 3: per-marketplace activity volume CDFs plus the legit baseline.
-    let mut volume_cdfs: HashMap<String, Cdf> = per_market
+    // A CDF sorts its samples, so the order they are grouped in changes no
+    // bit.
+    let mut activity_volumes_usd: HashMap<&str, Vec<f64>> = HashMap::new();
+    for facts in facts {
+        activity_volumes_usd.entry(facts.market_name.as_str()).or_default().push(facts.volume_usd);
+    }
+    let mut volume_cdfs: HashMap<String, Cdf> = activity_volumes_usd
         .into_iter()
-        .map(|(name, accumulator)| (name.to_string(), Cdf::new(accumulator.activity_volumes_usd)))
+        .map(|(name, volumes)| (name.to_string(), Cdf::new(volumes)))
         .collect();
     volume_cdfs.insert("Volume w/o wash trading".to_string(), legit_volume_cdf);
 

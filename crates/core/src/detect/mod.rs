@@ -19,9 +19,8 @@
 //! [`DenseDetectionOutcome::resolve`], at report assembly.
 
 pub mod flows;
+pub mod leverage;
 pub mod zero_risk;
-
-use std::collections::HashSet;
 
 use ethsim::{Address, Chain};
 use ids::{AccountId, Interner, NftKey};
@@ -34,6 +33,7 @@ use crate::refine::{Candidate, DenseCandidate};
 use crate::txgraph::NftGraph;
 
 pub use flows::{FlowEvidence, FlowKind};
+pub use leverage::LeverageIndex;
 
 /// Which detection methods confirmed an activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -268,62 +268,38 @@ impl<'a> Detector<'a> {
     /// and rejection tallies).
     ///
     /// `evidence[i]` must be the [`Detector::evaluate`] result for
-    /// `candidates[i]` with `leveraged` still `false`. This is a pure
-    /// function of its inputs: the streaming subsystem caches base evidence
-    /// per NFT and re-assembles the global outcome each epoch through this
-    /// same code path, which is what makes the live and batch outcomes
-    /// bit-identical.
+    /// `candidates[i]` with `leveraged` still `false`, and each NFT's
+    /// candidates must be contiguous, as [`Refiner::refine_with`]'s sorted
+    /// output is. The pass builds one [`LeverageIndex`] over the per-NFT
+    /// runs; the streaming analyzer keeps the same index across epochs and
+    /// replaces only the dirty NFTs' groups, so the live and batch outcomes
+    /// are bit-identical. Confirmed activities come out in input order.
+    ///
+    /// [`Refiner::refine_with`]: crate::refine::Refiner::refine_with
     pub fn assemble(
         candidates: &[DenseCandidate],
         evidence: Vec<MethodSet>,
     ) -> DenseDetectionOutcome {
         assert_eq!(candidates.len(), evidence.len(), "one evidence record per candidate");
-        let pairs: Vec<(&DenseCandidate, MethodSet)> = candidates.iter().zip(evidence).collect();
-        Detector::assemble_indexed(&pairs).0
-    }
-
-    /// [`Detector::assemble`] over borrowed candidates, additionally
-    /// returning the input indices of the confirmed activities (in confirmed
-    /// order). The streaming reassembly walks its per-NFT caches into a pair
-    /// list without cloning every candidate each epoch, and uses the indices
-    /// to line the confirmed set up with the cached characterize/profit
-    /// facts that live alongside each candidate.
-    pub fn assemble_indexed(
-        pairs: &[(&DenseCandidate, MethodSet)],
-    ) -> (DenseDetectionOutcome, Vec<u32>) {
-        // Leverage pass: any unconfirmed candidate whose account set matches a
-        // confirmed activity's account set is confirmed too. Account lists
-        // are consistently address-sorted id lists, so slice equality is
-        // exactly set equality of the underlying addresses.
-        let confirmed_sets: HashSet<&[AccountId]> = pairs
-            .iter()
-            .filter(|(_, methods)| methods.confirmed())
-            .map(|(candidate, _)| candidate.accounts.as_slice())
-            .collect();
-        let mut leveraged_only = 0usize;
-        let mut outcome = DenseDetectionOutcome::default();
-        let mut confirmed_indices = Vec::new();
-        for (index, (candidate, methods)) in pairs.iter().enumerate() {
-            let mut methods = *methods;
-            if !methods.confirmed() && confirmed_sets.contains(candidate.accounts.as_slice()) {
-                methods.leveraged = true;
-                leveraged_only += 1;
-            }
-            if !methods.confirmed() {
-                outcome.rejected += 1;
-                continue;
-            }
-            if methods.flow_method_count() > 0 {
-                outcome.venn.record(&methods);
-            }
-            if methods.self_trade {
-                outcome.self_trades += 1;
-            }
-            confirmed_indices.push(index as u32);
-            outcome.confirmed.push(DenseActivity { candidate: (*candidate).clone(), methods });
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for run in candidates.chunk_by(|a, b| a.nft == b.nft) {
+            runs.push((run[0].nft, start..start + run.len()));
+            start += run.len();
         }
-        outcome.leveraged_only = leveraged_only;
-        (outcome, confirmed_indices)
+        let index = LeverageIndex::build(
+            runs.iter().map(|(nft, run)| (*nft, &candidates[run.clone()], &evidence[run.clone()])),
+        );
+        let confirmed = runs
+            .iter()
+            .flat_map(|(nft, run)| {
+                index.confirmed(*nft).iter().map(|&(position, methods)| DenseActivity {
+                    candidate: candidates[run.start + position].clone(),
+                    methods,
+                })
+            })
+            .collect();
+        index.outcome(confirmed)
     }
 
     /// Gather the base evidence (zero-risk, common funder, common exit,

@@ -78,14 +78,19 @@ impl TxPayment {
 
     /// Amount paid by `buyer`: the ETH attached to the transaction, or —
     /// when the payment went through an ERC-20 token (e.g. WETH bids) — the
-    /// sum the buyer sent in that token's transfer logs.
+    /// sum the buyer sent in that token's transfer logs. Log amounts are
+    /// whatever the emitting contract wrote, so a sum that overflows `u128`
+    /// counts as no ERC-20 payment: [`Wei::ZERO`].
     fn price_paid_by(&self, buyer: Address) -> Wei {
         if !self.value.is_zero() {
             return self.value;
         }
-        Wei::new(
-            self.erc20.iter().filter(|(payer, _)| *payer == buyer).map(|(_, amount)| *amount).sum(),
-        )
+        let paid = self
+            .erc20
+            .iter()
+            .filter(|(payer, _)| *payer == buyer)
+            .try_fold(0u128, |sum, (_, amount)| sum.checked_add(*amount));
+        Wei::new(paid.unwrap_or(0))
     }
 }
 
@@ -495,6 +500,42 @@ mod tests {
             assert_eq!(metrics.decode_ns + metrics.commit_ns, metrics.total_ns());
         }
     }
+
+    #[test]
+    fn overflowing_erc20_payment_counts_as_no_payment() {
+        use ethsim::{Log, Selector, Timestamp, TxRequest};
+        // Two `Transfer` logs of u128::MAX from the buyer: their sum
+        // overflows, so the sale carries no ERC-20 payment.
+        let mut chain = Chain::new(Timestamp::from_secs(1_640_995_200));
+        let mut tokens = tokens::TokenRegistry::new();
+        let genesis = chain.current_timestamp();
+        let collection = tokens.deploy_erc721(&mut chain, "big", "Big", true, genesis).unwrap();
+        let seller = chain.create_eoa("seller").unwrap();
+        let buyer = chain.create_eoa("buyer").unwrap();
+        chain.fund(buyer, Wei::from_eth(5.0));
+        let weth = Address::derived("weth");
+        let payment = Log::erc20_transfer(weth, buyer, seller, u128::MAX);
+        let call = Selector::of("transferFrom(address,address,uint256)");
+        let request = TxRequest::contract_call(
+            buyer,
+            collection,
+            call,
+            Wei::ZERO,
+            90_000,
+            Wei::from_gwei(30),
+        )
+        .with_logs([
+            Log::erc721_transfer(collection, seller, buyer, 1),
+            payment.clone(),
+            payment,
+        ]);
+        chain.submit(request).unwrap();
+        let dataset = Dataset::build(&chain, &MarketplaceDirectory::new());
+        let transfers = dataset.transfers_of(NftId::new(collection, 1));
+        assert_eq!(transfers.len(), 1);
+        assert_eq!(transfers[0].price, Wei::ZERO);
+    }
+
     #[test]
     fn payment_context_reproduces_per_log_resolution() {
         let world = World::generate(WorkloadConfig::small(11)).expect("world");

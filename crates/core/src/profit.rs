@@ -162,6 +162,8 @@ pub fn analyze_rewards_with(
 /// Facts are a pure function of the candidate and the chain histories of its
 /// colluding accounts *up to the claim*; the stream recomputes them whenever
 /// the NFT is dirtied, which re-reads those histories at the new watermark.
+/// A claim whose reward-token transfers sum past `u128::MAX` counts as no
+/// claim: log amounts are whatever the token contract wrote.
 pub fn reward_facts(
     candidate: &DenseCandidate,
     chain: &Chain,
@@ -190,13 +192,15 @@ pub fn reward_facts(
             })
             .min_by_key(|tx| tx.timestamp);
         if let Some(tx) = claim_tx {
-            let tokens_received: u128 = tx
+            // Log amounts are whatever the token contract wrote: a sum that
+            // overflows `u128` counts as no claim.
+            let tokens_received = tx
                 .logs
                 .iter()
                 .filter_map(|log| log.decode_erc20_transfer())
                 .filter(|t| t.contract == reward.token_contract && t.to == account)
-                .map(|t| t.amount)
-                .sum();
+                .try_fold(0u128, |sum, t| sum.checked_add(t.amount))
+                .unwrap_or(0);
             if tokens_received > 0 {
                 claimed = true;
                 rewards_usd += oracle
@@ -654,6 +658,57 @@ mod tests {
             methods: MethodSet { zero_risk: true, ..MethodSet::default() },
         };
         (dataset, graphs, activity)
+    }
+
+    #[test]
+    fn overflowing_reward_claim_counts_as_no_claim() {
+        use ethsim::{Log, Selector, TxRequest};
+        use marketplace::{MarketplaceInfo, RewardInfo};
+        let mut chain = Chain::new(Timestamp::from_secs(0));
+        let a = chain.create_eoa("claimer").unwrap();
+        let b = chain.create_eoa("partner").unwrap();
+        chain.fund(a, Wei::from_eth(1.0));
+        let distributor = chain.deploy_contract("distributor", vec![0xfe]).unwrap();
+        let token = chain.deploy_contract("reward-token", vec![0xfe]).unwrap();
+        let market = Address::derived("rewarding-market");
+        let mut directory = MarketplaceDirectory::new();
+        directory.add(MarketplaceInfo {
+            name: "Rewarding".to_string(),
+            contract: market,
+            treasury: Address::derived("treasury"),
+            escrow: None,
+            fee_bps: 200,
+            reward: Some(RewardInfo {
+                distributor,
+                token_contract: token,
+                token_symbol: "LOOKS".to_string(),
+                token_decimals: 18,
+                daily_emission: 1.0,
+            }),
+        });
+        // After the wash trades, `a` claims: two reward-token transfers of
+        // u128::MAX each, whose sum overflows.
+        chain.advance_to(Timestamp::from_secs(4 * 86_400)).unwrap();
+        let huge = Log::erc20_transfer(token, distributor, a, u128::MAX);
+        let claim = Selector::of("claim()");
+        let gas_price = Wei::from_gwei(30);
+        let request = TxRequest::contract_call(a, distributor, claim, Wei::ZERO, 90_000, gas_price);
+        chain.submit(request.with_logs([huge.clone(), huge])).unwrap();
+
+        let nft = NftId::new(Address::derived("coll3"), 7);
+        let on_market = |transfer| NftTransfer { marketplace: Some(market), ..transfer };
+        let transfers = vec![
+            mk(nft, Address::NULL, a, 0.0, 1, "m"),
+            on_market(mk(nft, a, b, 2.0, 2, "x")),
+            on_market(mk(nft, b, a, 2.0, 3, "y")),
+        ];
+        let (dataset, _, activity) = world(&transfers, 2, 3);
+        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 100, 1);
+        let outcome =
+            reward_facts(&activity.candidate, &chain, &directory, &oracle, &dataset.interner)
+                .expect("the activity's dominant marketplace distributes rewards");
+        assert!(!outcome.claimed);
+        assert_eq!(outcome.rewards_usd, 0.0);
     }
 
     /// Manually assembled resale scenario: bought at 1 ETH, washed between two

@@ -16,10 +16,12 @@
 //!   graph table is `NftKey`-indexed);
 //! * [`StreamAnalyzer`] re-runs refinement and detection only for the
 //!   *dirty* NFT set (the NFTs touched since the last epoch), fanned out
-//!   over the shared `washtrade::parallel::Executor`, and re-assembles the
-//!   global artifacts into a persistent [`LiveReport`] with a per-epoch
-//!   [`EpochDelta`] and a query API ([`StreamAnalyzer::status`],
-//!   [`StreamAnalyzer::suspects_since`], [`StreamAnalyzer::top_movers`]);
+//!   over the shared `washtrade::parallel::Executor`, patches the confirmed
+//!   set for the NFTs whose confirmed group changed, and reports a per-epoch
+//!   [`EpochDelta`]; the full [`LiveReport`] is built on its first read
+//!   after an epoch. A query API ([`StreamAnalyzer::status`],
+//!   [`StreamAnalyzer::suspects_since`], [`StreamAnalyzer::top_movers`])
+//!   answers without building it;
 //! * after every epoch the analyzer builds an immutable, epoch-versioned
 //!   `washtrade_serve::Snapshot` from the dense layers and swaps it into a
 //!   [`SnapshotPublisher`](washtrade_serve::SnapshotPublisher) — the

@@ -1,26 +1,35 @@
 //! The live analyzer: a dirty-set scheduler over the epoch-grown dataset and
-//! the incremental graphs that keeps a [`LiveReport`] continuously up to
-//! date and guarantees convergence to the batch result at the chain tip (see
-//! the mid-stream semantics note on [`StreamAnalyzer`] for what "up to date"
-//! means before the tip).
+//! the incremental graphs that keeps the confirmed set and the published
+//! snapshot continuously up to date, and serves a [`LiveReport`] that
+//! converges to the batch result at the chain tip (see the mid-stream
+//! semantics note on [`StreamAnalyzer`] for what "up to date" means before
+//! the tip).
 //!
 //! Per epoch, only the NFTs touched by new transfers are re-refined and
 //! re-evaluated (a pure per-NFT computation, fanned out over the shared
-//! [`Executor`]); the global artifacts — leverage pass, Venn counts,
-//! refinement report, characterization — are then re-assembled from the
-//! per-NFT caches through the exact same code paths the batch pipeline uses.
-//! That shared-code-path design is what makes the headline invariant hold:
-//! after ingesting all epochs, the live report is bit-identical to batch
-//! analysis of the same chain, at any epoch size and thread count.
+//! [`Executor`]). The leverage pass is a maintained [`LeverageIndex`]: the
+//! dirty NFTs' candidate groups replace their old ones, and the index names
+//! the other NFTs whose leverage verdict flipped. Only those NFTs' confirmed
+//! groups are re-derived, and only the groups that changed patch the dense
+//! confirmed list, the suspect log, the Fig. 3 refcounts and the snapshot's
+//! changed set. The Table I fold and the Table II pass the snapshot needs
+//! run every epoch, through the batch code paths. The rest of the report —
+//! the characterization, the Fig. 3 CDF, both profit reduces and the
+//! resolved detection outcome — is built on the first
+//! [`StreamAnalyzer::report`] read after an epoch, at O(confirmed) cost,
+//! through the same reduces the batch pipeline runs. That shared-code-path
+//! design is what makes the headline invariant hold: after ingesting all
+//! epochs, the live report is bit-identical to batch analysis of the same
+//! chain, at any epoch size and thread count.
 //!
 //! The scheduler is dense end to end: dirty sets are `Vec<NftKey>`, the
 //! per-NFT cache is a `Vec` indexed by [`NftKey`], and candidates stay in
-//! dense-id form until the per-epoch [`LiveReport`] is assembled — the same
-//! single resolve-at-report-boundary point the batch pipeline uses.
+//! dense-id form until a [`LiveReport`] is built — the same single
+//! resolve-at-report-boundary point the batch pipeline uses.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ethsim::{Address, BlockNumber, Timestamp, Wei};
@@ -29,11 +38,13 @@ use ids::NftKey;
 use serde::{Deserialize, Serialize};
 use tokens::NftId;
 use washtrade::characterize::{
-    activity_facts, characterize, characterize_from_parts, market_totals, ActivityFacts,
-    Characterization, CharacterizeBaseline,
+    activity_facts, characterize, characterize_from_parts, market_totals, marketplace_wash,
+    ActivityFacts, Characterization, CharacterizeBaseline, MarketplaceWash,
 };
 use washtrade::dataset::{Dataset, MarketVolumeFold, NftMarketLeaves};
-use washtrade::detect::{ConfirmedActivity, DenseActivity, DetectionOutcome, Detector, MethodSet};
+use washtrade::detect::{
+    DenseActivity, DenseDetectionOutcome, DetectionOutcome, Detector, LeverageIndex, MethodSet,
+};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::AnalysisInput;
 use washtrade::profit::{
@@ -79,9 +90,12 @@ pub struct EpochDelta {
     pub confirmed_total: usize,
     /// Wall-clock time of the epoch's ingestion + re-detection, nanoseconds.
     pub wall_time_ns: u64,
-    /// Wall-clock time of the epoch's report reassembly (the
-    /// refine-aggregate → detect → characterize → profit tail), nanoseconds
-    /// — the benchmark's `stream.reassemble_ms` sample.
+    /// Wall-clock time of the epoch's reassembly, nanoseconds — the
+    /// benchmark's `stream.reassemble_ms` sample. It covers the leverage
+    /// index update, the changed groups' patch of the confirmed set and the
+    /// Fig. 3 refcounts, and the Table I fold and Table II pass the snapshot
+    /// needs. The full [`LiveReport`] is not built here but on the first
+    /// [`StreamAnalyzer::report`] read after the epoch.
     pub reassemble_ns: u64,
 }
 
@@ -97,9 +111,10 @@ impl EpochDelta {
     }
 }
 
-/// The continuously maintained analysis state, exposing the same §IV-B/§IV-C,
-/// §V and §VI numbers as the batch `AnalysisReport` plus the per-epoch
-/// history.
+/// The analysis state as of the last ingested epoch, exposing the same
+/// §IV-B/§IV-C, §V and §VI numbers as the batch `AnalysisReport` plus the
+/// per-epoch history. [`StreamAnalyzer::report`] builds it on the first read
+/// after an epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveReport {
     /// §IV-B: counts after each refinement stage.
@@ -171,10 +186,11 @@ impl StreamOptions {
 
 /// Cached per-NFT analysis state: the refinement outcome plus, per
 /// candidate, the base detection evidence and the characterize/profit leaf
-/// facts — everything the per-epoch reassembly folds, valid until the NFT's
-/// graph next changes. Candidates (with their aligned evidence and facts)
-/// are stored sorted by the batch sort key, so walking suspect NFTs in id
-/// order replays the exact batch candidate sequence with no global sort.
+/// facts — everything the reassembly and a report read fold, valid until
+/// the NFT's graph next changes. Candidates (with their aligned evidence and
+/// facts) are stored sorted by the batch sort key, so concatenating the
+/// NFTs' confirmed groups in id order replays the exact batch confirmed
+/// sequence with no global sort.
 #[derive(Debug, Clone)]
 struct NftState {
     refinement: NftRefinement,
@@ -223,12 +239,12 @@ pub struct StreamAnalyzer<'a> {
     /// suspicious component at any stage.
     states: Vec<Option<NftState>>,
     /// §IV-B counts maintained as states change — reading the refinement
-    /// report each epoch is O(1) instead of a rescan of every state.
+    /// report is O(1) instead of a rescan of every state.
     refine_agg: RefinementAggregator,
-    /// NFTs with a cached state (suspects), keyed by resolved identity — the
-    /// reassembly walks this map to visit candidates in the exact order the
-    /// batch global sort produces.
-    suspects_by_id: BTreeMap<NftId, NftKey>,
+    /// The leverage pass over every cached NFT's candidates: each NFT's
+    /// confirmed candidates (positions in its cached list, with their final
+    /// methods) and the detection counters.
+    leverage: LeverageIndex,
     /// Every known key sorted by resolved identity (the
     /// `nft_keys_sorted_by_id` order), maintained by merging each epoch's
     /// new key range — the Table I fold's iteration order.
@@ -246,17 +262,24 @@ pub struct StreamAnalyzer<'a> {
     legit: LegitVolumeSet,
     /// Exactly the currently confirmed NFTs, each with the last block of
     /// the epoch that (most recently) confirmed it — the suspect-log input
-    /// of every published snapshot. Maintained from each epoch's group
-    /// diff: inserted when an NFT's group appears, removed when it goes.
+    /// of every published snapshot. Patched from each epoch's changed
+    /// groups: inserted when an NFT's group appears, removed when it goes.
     confirmed_at: HashMap<NftId, BlockNumber>,
-    /// The confirmed activities still in dense-id form — what each epoch's
-    /// snapshot is built from (the publication seam's input). Aligned 1:1
-    /// with `live.detection.confirmed`, its resolved twin.
-    dense_confirmed: Vec<DenseActivity>,
-    /// NFTs whose confirmed activities changed in the last reassembly, read
-    /// off the epoch's [`GroupChange`] diff. This is the delta-build
-    /// contract: diffing outcomes (not the dirty set) also catches
-    /// leverage-pass flips on NFTs whose own graphs were untouched.
+    /// The detection outcome still in dense-id form: the confirmed
+    /// activities in confirmed order (each NFT's group contiguous, NFTs
+    /// ascending) and the counters. Each epoch's snapshot is built from it
+    /// and a report read resolves it; only the changed groups are patched.
+    detection: DenseDetectionOutcome,
+    /// Marketplace name → total volume (USD), read off this epoch's Table I
+    /// fold: the denominators of Table II's shares.
+    market_totals: HashMap<String, f64>,
+    /// This epoch's Table II rows and wash totals, which the snapshot
+    /// publishes.
+    wash: MarketplaceWash,
+    /// NFTs whose confirmed activities changed in the last reassembly. This
+    /// is the delta-build contract: the changed groups include leverage
+    /// flips on NFTs whose own graphs were untouched, not just the dirty
+    /// set.
     changed_nfts: BTreeSet<NftId>,
     /// The snapshot this analyzer last published — the delta-encoding base
     /// for the next epoch. `None` until the first publish (an inherited
@@ -270,7 +293,13 @@ pub struct StreamAnalyzer<'a> {
     /// generations sharing one slot — a `(epoch, query)` cache key can
     /// never collide with a previous generation's.
     epoch_base: u64,
-    live: LiveReport,
+    /// The cursor watermark: first block not yet ingested.
+    watermark: BlockNumber,
+    /// One delta per ingested epoch, in order.
+    epochs: Vec<EpochDelta>,
+    /// The report as of the last ingested epoch: built on its first read,
+    /// dropped by the next ingested epoch.
+    report: OnceLock<LiveReport>,
 }
 
 impl<'a> StreamAnalyzer<'a> {
@@ -293,58 +322,50 @@ impl<'a> StreamAnalyzer<'a> {
         options: StreamOptions,
         publisher: SnapshotPublisher,
     ) -> Self {
-        let empty = Dataset::default();
-        let live = LiveReport {
-            refinement: RefinementReport::default(),
-            detection: DetectionOutcome::default(),
-            characterization: characterize(&[], &empty, input.directory, input.oracle),
-            rewards: reduce_rewards(std::iter::empty(), input.directory),
-            resales: reduce_resales(std::iter::empty()),
-            dataset_nfts: 0,
-            dataset_transfers: 0,
-            raw_transfer_events: 0,
-            compliant_contracts: 0,
-            non_compliant_contracts: 0,
-            watermark: BlockNumber(0),
-            epochs: Vec::new(),
-        };
         let epoch_base = publisher.epoch();
         StreamAnalyzer {
             input,
             executor: Executor::new(options.threads),
             cursor: BlockCursor::new(),
-            dataset: empty,
+            dataset: Dataset::default(),
             graphs: IncrementalGraphs::new(),
             states: Vec::new(),
             refine_agg: RefinementAggregator::default(),
-            suspects_by_id: BTreeMap::new(),
+            leverage: LeverageIndex::new(),
             nft_id_order: Vec::new(),
             known_keys: 0,
             market_leaves: Vec::new(),
             collection_created: HashMap::new(),
             legit: LegitVolumeSet::new(),
             confirmed_at: HashMap::new(),
-            dense_confirmed: Vec::new(),
+            detection: DenseDetectionOutcome::default(),
+            market_totals: HashMap::new(),
+            wash: MarketplaceWash::default(),
             changed_nfts: BTreeSet::new(),
             last_snapshot: None,
             publisher,
             epoch_base,
-            live,
+            watermark: BlockNumber(0),
+            epochs: Vec::new(),
+            report: OnceLock::new(),
         }
     }
 
     /// Ingest the next epoch of at most `max_blocks` blocks: append the new
     /// transfers, grow the touched graphs, re-refine and re-evaluate exactly
-    /// the dirty NFT set, and re-assemble the live report. Returns `None`
-    /// once the cursor is caught up with the chain tip.
+    /// the dirty NFT set, reassemble the confirmed set and publish the
+    /// epoch's snapshot. Returns `None` once the cursor is caught up with
+    /// the chain tip.
     pub fn ingest_epoch(&mut self, max_blocks: u64) -> Option<EpochDelta> {
         let span = self.cursor.next_epoch(self.input.chain, max_blocks)?;
+        // The cached report describes the previous epoch.
+        self.report.take();
         let started = Instant::now();
         // Root of this epoch's span tree: every traced phase below — the
         // ingest decode and commit, the dirty-set fan-out, reassembly, and
         // the snapshot publish — parents under it.
         let mut epoch_trace = obs::trace::span("stream.epoch");
-        epoch_trace.attr("epoch", self.live.epochs.len() as u64);
+        epoch_trace.attr("epoch", self.epochs.len() as u64);
         epoch_trace.attr("first_block", span.first.0);
         epoch_trace.attr("last_block", span.last.0);
 
@@ -404,8 +425,8 @@ impl<'a> StreamAnalyzer<'a> {
                         })
                         .collect();
                 // Store candidates in batch sort-key order: the key is
-                // strictly unique, so the reassembly's id-ordered walk over
-                // per-NFT sorted lists reproduces the global sorted sequence.
+                // strictly unique, so each NFT's confirmed group comes out
+                // in the order the batch global sort gives it.
                 entries.sort_by_key(|(candidate, _, _)| candidate.sort_key(interner));
                 let mut evidence = Vec::with_capacity(entries.len());
                 let mut facts = Vec::with_capacity(entries.len());
@@ -444,25 +465,22 @@ impl<'a> StreamAnalyzer<'a> {
             if let Some(old) = slot.take() {
                 self.refine_agg.remove(&old.refinement);
             }
-            if state.refinement.is_empty() {
-                self.suspects_by_id.remove(&interner.nft(nft));
-            } else {
+            if !state.refinement.is_empty() {
                 self.refine_agg.add(&state.refinement);
-                self.suspects_by_id.insert(interner.nft(nft), nft);
                 *slot = Some(state);
             }
         }
 
         let reassemble_started = Instant::now();
-        let changes = self.reassemble(span.last);
+        let changes = self.reassemble(span.last, &applied.dirty);
         let reassemble_ns =
             u64::try_from(reassemble_started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX);
 
-        // Delta bookkeeping, from the group diff alone: a group absent on
-        // the previous side is a new suspect, one absent on the current side
-        // a lost one. Changes come in ascending NFT order, so `new_suspects`
-        // is sorted. An NFT that lost its confirmation and regains it later
-        // is re-inserted with the *latest* transition, so `suspects_since`
+        // Suspect transitions, from the changed groups alone: a group that
+        // was empty is a new suspect, one that became empty a lost one.
+        // Changes come in ascending NFT order, so `new_suspects` is sorted.
+        // An NFT that lost its confirmation and regains it later is
+        // re-inserted with the *latest* transition, so `suspects_since`
         // stays consistent with the epoch delta that lists it.
         let mut new_suspects = Vec::new();
         let mut lost_suspects = 0usize;
@@ -478,7 +496,7 @@ impl<'a> StreamAnalyzer<'a> {
         self.changed_nfts = changes.iter().map(|change| change.nft).collect();
 
         let delta = EpochDelta {
-            index: self.live.epochs.len(),
+            index: self.epochs.len(),
             first_block: span.first,
             last_block: span.last,
             raw_events: ingest.raw_events,
@@ -487,7 +505,7 @@ impl<'a> StreamAnalyzer<'a> {
             total_nfts: self.dataset.nft_count(),
             new_suspects,
             lost_suspects,
-            confirmed_total: self.live.detection.confirmed.len(),
+            confirmed_total: self.detection.confirmed.len(),
             wall_time_ns: u64::try_from(started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX),
             reassemble_ns,
         };
@@ -501,7 +519,7 @@ impl<'a> StreamAnalyzer<'a> {
             obs::histogram!("stream.dirty_nfts", delta.dirty_nfts as u64);
             obs::gauge!("stream.total_nfts", delta.total_nfts as i64);
             obs::gauge!("stream.confirmed_total", delta.confirmed_total as i64);
-            obs::gauge!("stream.watermark", self.live.watermark.0 as i64);
+            obs::gauge!("stream.watermark", self.watermark.0 as i64);
             // Blocks on the chain the cursor has not handed out yet — the
             // `watermark_lag` SLO's input (0 when tailing keeps up).
             let lag = self.input.chain.current_block_number().0.saturating_sub(span.last.0);
@@ -517,7 +535,7 @@ impl<'a> StreamAnalyzer<'a> {
                 delta.confirmed_total
             );
         }
-        self.live.epochs.push(delta.clone());
+        self.epochs.push(delta.clone());
         self.publish_snapshot();
         epoch_trace.attr("dirty", delta.dirty_nfts as u64);
         epoch_trace.attr("transfers", delta.transfers as u64);
@@ -537,33 +555,32 @@ impl<'a> StreamAnalyzer<'a> {
     /// the concurrent readers. Confirmation blocks come from the maintained
     /// `confirmed_at` map, which holds exactly the currently confirmed NFTs,
     /// so the snapshot's suspect log answers `suspects_since` exactly as the
-    /// pre-index linear scan did; it is patched from the group diff, never
-    /// rebuilt. The per-marketplace rollup rows are reused from the
-    /// characterization this epoch just re-assembled (they are bit-identical
-    /// to what the snapshot would re-derive) instead of re-scanning every
-    /// transfer for venue totals.
+    /// pre-index linear scan did; it is patched from the changed groups,
+    /// never rebuilt. The per-marketplace rollup rows are this epoch's
+    /// Table II pass (bit-identical to what the snapshot would re-derive)
+    /// instead of a re-scan of every transfer for venue totals.
     ///
     /// Cost: the snapshot is **delta-encoded** against the one this analyzer
     /// last published. The expensive per-activity resolution (USD pricing,
     /// dominant venue, pattern classification, address resolution) runs only
-    /// for the NFTs in `changed_nfts` — the changed groups of the epoch's
-    /// diff; every unchanged NFT shares the previous epoch's resolved
-    /// segment by `Arc` clone, and a quiet epoch shares every index
-    /// wholesale. The first epoch of a generation (or one inheriting a
-    /// foreign snapshot through [`StreamAnalyzer::with_publisher`]) pays one
-    /// full build. Either path publishes a snapshot bit-identical to
+    /// for the NFTs in `changed_nfts` — the epoch's changed groups; every
+    /// unchanged NFT shares the previous epoch's resolved segment by `Arc`
+    /// clone, and a quiet epoch shares every index wholesale. The first
+    /// epoch of a generation (or one inheriting a foreign snapshot through
+    /// [`StreamAnalyzer::with_publisher`]) pays one full build. Either path
+    /// publishes a snapshot bit-identical to
     /// [`StreamAnalyzer::rebuild_full_snapshot`] — the AsOf-parity gate's
     /// invariant.
     fn publish_snapshot(&mut self) {
         let mut publish_trace = obs::trace::span("serve.publish");
         let meta = self.current_meta();
-        let marketplaces = self.live.characterization.per_marketplace.clone();
+        let marketplaces = self.wash.rows.clone();
         let wash_volumes = Some(self.current_wash_volumes());
         let snapshot = match &self.last_snapshot {
             Some(previous) => Snapshot::delta_from_dense(
                 previous,
                 meta,
-                &self.dense_confirmed,
+                &self.detection.confirmed,
                 &self.dataset,
                 self.input.directory,
                 self.input.oracle,
@@ -574,7 +591,7 @@ impl<'a> StreamAnalyzer<'a> {
             ),
             None => Snapshot::from_dense_with_marketplaces(
                 meta,
-                &self.dense_confirmed,
+                &self.detection.confirmed,
                 &self.dataset,
                 self.input.directory,
                 self.input.oracle,
@@ -595,8 +612,8 @@ impl<'a> StreamAnalyzer<'a> {
     /// Version stamp of the next (or just-) published snapshot.
     fn current_meta(&self) -> SnapshotMeta {
         SnapshotMeta {
-            epoch: self.epoch_base + self.live.epochs.len() as u64,
-            watermark: self.live.watermark,
+            epoch: self.epoch_base + self.epochs.len() as u64,
+            watermark: self.watermark,
         }
     }
 
@@ -608,25 +625,22 @@ impl<'a> StreamAnalyzer<'a> {
     pub fn rebuild_full_snapshot(&self) -> Snapshot {
         Snapshot::from_dense_with_marketplaces(
             self.current_meta(),
-            &self.dense_confirmed,
+            &self.detection.confirmed,
             &self.dataset,
             self.input.directory,
             self.input.oracle,
             &self.confirmed_at,
-            self.live.characterization.per_marketplace.clone(),
+            self.wash.rows.clone(),
             Some(self.current_wash_volumes()),
         )
     }
 
-    /// The epoch's float wash-volume totals, forwarded from the
-    /// characterization this epoch's reassembly just computed — the same
-    /// flat fold over the same confirmed sequence the snapshot would run,
-    /// so forwarding changes no bits (the parity suite pins this).
+    /// The epoch's float wash-volume totals, from this epoch's Table II
+    /// pass — the same flat fold over the same confirmed sequence the
+    /// snapshot would run, so forwarding changes no bits (the parity suite
+    /// pins this).
     fn current_wash_volumes(&self) -> WashVolumes {
-        WashVolumes {
-            eth: self.live.characterization.total_volume_eth,
-            usd: self.live.characterization.total_volume_usd,
-        }
+        WashVolumes { eth: self.wash.total_volume_eth, usd: self.wash.total_volume_usd }
     }
 
     /// Ingest epochs of `max_blocks` until caught up with the chain tip;
@@ -639,60 +653,90 @@ impl<'a> StreamAnalyzer<'a> {
         epochs
     }
 
-    /// Re-assemble the global artifacts from the per-NFT caches, mirroring
-    /// the batch pipeline's refine → detect → characterize → profit tail over
-    /// the ingested prefix — but at dirty-set cost: every expensive
-    /// per-candidate and per-row value is read from a maintained cache, and
-    /// only the final folds (which replay the exact batch accumulation order,
-    /// so every float comes out bit-identical) run over the full suspect set.
+    /// Bring the confirmed set and the snapshot inputs up to date with the
+    /// dirty NFTs' fresh caches, at the cost of the NFTs whose confirmed
+    /// group changed, plus the two folds bound to a fixed order.
     ///
-    /// Right after detection, one walk diffs the new dense confirmed list
-    /// against the previous one per NFT group ([`confirmed_group_diff`]),
-    /// and the confirmed-set bookkeeping then runs over the changed groups
-    /// only: the legit-volume flips, and the resolved [`DetectionOutcome`]
-    /// of the [`LiveReport`], which keeps the previous epoch's resolved
-    /// activities for every unchanged group and resolves only the changed
-    /// ones. Both are exact — an unchanged group contributes nothing to the
-    /// refcount delta, and the interner is append-only, so equal dense
-    /// groups resolve to equal activities. Returns the diff, which also
-    /// drives the caller's suspect transitions and the snapshot delta.
-    fn reassemble(&mut self, last_block: BlockNumber) -> Vec<GroupChange> {
+    /// The dirty NFTs' candidate groups replace their old ones in the
+    /// leverage index, which re-derives their verdicts and those of the NFTs
+    /// whose leverage verdict flipped with them; no other NFT's confirmed
+    /// group can change. Each re-derived group is compared with its old
+    /// stretch of the dense confirmed list, and only the groups that differ
+    /// patch the list and feed the Fig. 3 refcount flips — exact, because an
+    /// unchanged group adds nothing to either. The Table I fold and the
+    /// Table II pass still walk every NFT and every confirmed activity,
+    /// replaying the batch fold order so every float matches batch bit for
+    /// bit; the rest of the report waits for [`StreamAnalyzer::report`].
+    /// Returns the changed groups, in ascending NFT order, which drive the
+    /// caller's suspect transitions and the snapshot delta.
+    fn reassemble(&mut self, last_block: BlockNumber, dirty: &[NftKey]) -> Vec<GroupChange> {
         let _reassemble_span = obs::span!("stream.reassemble_ns");
         let _reassemble_trace = obs::trace::span("stream.reassemble");
-        let dataset = &self.dataset;
-        let interner = &dataset.interner;
+        let interner = &self.dataset.interner;
         let (directory, oracle) = (self.input.directory, self.input.oracle);
 
-        // §IV-B: the maintained aggregate already holds the report.
-        {
-            let _span = obs::span!("stream.reassemble.refine_agg_ns");
-            self.live.refinement = self.refine_agg.report();
+        // §IV-C/D: replace the dirty groups in the leverage index, which
+        // names the NFTs whose leverage verdict flipped with them.
+        let detect_span = obs::span!("stream.reassemble.detect_ns");
+        let mut touched: Vec<(NftId, NftKey)> = Vec::with_capacity(dirty.len());
+        for &key in dirty {
+            let state = self.states.get(key.index()).and_then(Option::as_ref);
+            let (candidates, evidence) = state.map_or((&[][..], &[][..]), |state| {
+                (&state.refinement.candidates[..], &state.evidence[..])
+            });
+            let flipped = self.leverage.replace(key, candidates, evidence);
+            touched.push((interner.nft(key), key));
+            touched.extend(flipped.into_iter().map(|other| (interner.nft(other), other)));
         }
-
-        // §IV-C/D: walk suspect NFTs in resolved-id order; per-NFT candidate
-        // lists are stored sorted by the batch sort key, whose leading
-        // component is the NFT id — so this concatenation *is* the batch
-        // global sort, with no per-epoch sort or candidate clone.
-        let _detect_span = obs::span!("stream.reassemble.detect_ns");
-        let mut pairs: Vec<(&DenseCandidate, MethodSet)> = Vec::new();
-        let mut pair_facts: Vec<&CandidateFacts> = Vec::new();
-        for &key in self.suspects_by_id.values() {
-            let state = self.states[key.index()].as_ref().expect("suspect NFT has a cached state");
-            for ((candidate, methods), facts) in
-                state.refinement.candidates.iter().zip(&state.evidence).zip(&state.facts)
-            {
-                pairs.push((candidate, *methods));
-                pair_facts.push(facts);
+        touched.sort_unstable();
+        touched.dedup();
+        // A touched NFT's group changed iff it differs from the NFT's
+        // stretch of the confirmed list, which is sorted by resolved NFT, so
+        // one forward search finds each stretch.
+        let previous = std::mem::take(&mut self.detection.confirmed);
+        let mut groups = Vec::new();
+        let mut from = 0;
+        for (nft, key) in touched {
+            let start =
+                from + previous[from..].partition_point(|a| interner.nft(a.candidate.nft) < nft);
+            let end =
+                start + previous[start..].iter().take_while(|a| a.candidate.nft == key).count();
+            from = end;
+            let candidates = self
+                .states
+                .get(key.index())
+                .and_then(Option::as_ref)
+                .map_or(&[][..], |state| &state.refinement.candidates[..]);
+            let verdicts = self.leverage.confirmed(key);
+            let unchanged = end - start == verdicts.len()
+                && previous[start..end].iter().zip(verdicts).all(|(activity, &(at, methods))| {
+                    activity.methods == methods && activity.candidate == candidates[at]
+                });
+            if !unchanged {
+                let group = verdicts
+                    .iter()
+                    .map(|&(at, methods)| DenseActivity {
+                        candidate: candidates[at].clone(),
+                        methods,
+                    })
+                    .collect();
+                groups.push((nft, start..end, group));
             }
         }
-        let (detection, confirmed_indices) = Detector::assemble_indexed(&pairs);
-        let confirmed_facts: Vec<&CandidateFacts> =
-            confirmed_indices.iter().map(|&index| pair_facts[index as usize]).collect();
-        let changes = confirmed_group_diff(&self.dense_confirmed, &detection.confirmed, interner);
-        drop(_detect_span);
+        let (confirmed, changes) = patch_groups(previous, groups);
+        self.detection = self.leverage.outcome(confirmed);
+        drop(detect_span);
 
-        // §V: characterization from cached leaves + maintained baselines.
+        // §V: the Fig. 3 refcounts, Table I and Table II.
         let _characterize_span = obs::span!("stream.reassemble.characterize_ns");
+        // Fig. 3 baseline: price only the new rows, and flip only the rows
+        // whose wash status the changed groups' transition changed.
+        self.legit.append_rows(&self.dataset, oracle);
+        self.legit.apply_confirmed_delta(
+            &self.dataset.columns,
+            changes.iter().flat_map(|change| &change.previous),
+            changes.iter().flat_map(|change| &self.detection.confirmed[change.current.clone()]),
+        );
         // Extend the id-sorted key order with this epoch's new keys: the
         // interner is append-only, so they are exactly the tail range.
         let nft_count = interner.nft_count();
@@ -717,15 +761,6 @@ impl<'a> StreamAnalyzer<'a> {
             self.nft_id_order = merged;
             self.known_keys = nft_count;
         }
-        // Fig. 3 baseline: price only the new rows, and flip only the rows
-        // whose wash status the changed groups' transition changed.
-        self.legit.append_rows(dataset, oracle);
-        let previous = &self.dense_confirmed;
-        self.legit.apply_confirmed_delta(
-            &dataset.columns,
-            changes.iter().flat_map(|change| &previous[change.previous.clone()]),
-            changes.iter().flat_map(|change| &detection.confirmed[change.current.clone()]),
-        );
         // Table I totals: the batch fold itself, over cached per-NFT leaves
         // in the same id-sorted order (only dirty NFTs were repriced), so
         // every dedup verdict and every f64 add matches batch bit for bit.
@@ -735,56 +770,80 @@ impl<'a> StreamAnalyzer<'a> {
                 fold.add(key, leaves);
             }
         }
-        let baseline = CharacterizeBaseline {
-            market_totals: market_totals(&fold.rows(directory, interner)),
-            legit_volume_cdf: self.legit.cdf(),
-            collection_created: self.collection_created.clone(),
-        };
-        let facts: Vec<&ActivityFacts> =
-            confirmed_facts.iter().map(|facts| &facts.characterize).collect();
-        self.live.characterization =
-            characterize_from_parts(&detection.confirmed, &facts, baseline);
-        drop(_characterize_span);
-
-        // §VI: profit reduces over cached outcomes, in confirmed order.
-        {
-            let _span = obs::span!("stream.reassemble.profit_ns");
-            self.live.rewards = reduce_rewards(
-                confirmed_facts.iter().filter_map(|facts| facts.reward.as_ref()),
-                directory,
-            );
-            self.live.resales =
-                reduce_resales(confirmed_facts.iter().filter_map(|facts| facts.resale.as_ref()));
-        }
-
-        let previous_resolved = std::mem::take(&mut self.live.detection.confirmed);
-        self.live.detection = DetectionOutcome {
-            confirmed: patch_resolved(previous_resolved, &detection.confirmed, &changes, interner),
-            rejected: detection.rejected,
-            venn: detection.venn,
-            leveraged_only: detection.leveraged_only,
-            self_trades: detection.self_trades,
-        };
-        self.dense_confirmed = detection.confirmed;
-        self.live.dataset_nfts = dataset.nft_count();
-        self.live.dataset_transfers = dataset.transfer_count();
-        self.live.raw_transfer_events = dataset.raw_transfer_events;
-        self.live.compliant_contracts = dataset.compliant_contracts.len();
-        self.live.non_compliant_contracts = dataset.non_compliant_contracts.len();
-        self.live.watermark = BlockNumber(last_block.0 + 1);
+        self.market_totals = market_totals(&fold.rows(directory, interner));
+        // Table II and the wash totals, for the snapshot: the fold
+        // `characterize_from_parts` runs, over the same facts in the same
+        // order.
+        let facts = self.confirmed_facts();
+        let facts: Vec<&ActivityFacts> = facts.iter().map(|facts| &facts.characterize).collect();
+        self.wash = marketplace_wash(&self.detection.confirmed, &facts, &self.market_totals);
+        self.watermark = BlockNumber(last_block.0 + 1);
         changes
     }
 
+    /// The cached facts of every confirmed activity, in confirmed order.
+    fn confirmed_facts(&self) -> Vec<&CandidateFacts> {
+        let mut facts = Vec::with_capacity(self.detection.confirmed.len());
+        for group in self.detection.confirmed.chunk_by(|a, b| a.candidate.nft == b.candidate.nft) {
+            let key = group[0].candidate.nft;
+            let state =
+                self.states[key.index()].as_ref().expect("confirmed NFT has a cached state");
+            facts.extend(self.leverage.confirmed(key).iter().map(|&(at, _)| &state.facts[at]));
+        }
+        facts
+    }
+
     /// The live report as of the last ingested epoch.
+    ///
+    /// Built on the first read after an epoch, from the maintained state:
+    /// the characterize reduce over the confirmed activities' cached facts,
+    /// the Fig. 3 CDF, both profit reduces over cached outcomes, and one
+    /// resolution of the dense detection outcome — O(confirmed), the same
+    /// reduces the batch pipeline runs, so the report is bit-identical to
+    /// [`StreamAnalyzer::rebuild_full_report`]. Later reads return the
+    /// cached report until the next [`StreamAnalyzer::ingest_epoch`].
     pub fn report(&self) -> &LiveReport {
-        &self.live
+        self.report.get_or_init(|| {
+            let _span = obs::span!("stream.report_ns");
+            let dataset = &self.dataset;
+            let directory = self.input.directory;
+            let facts = self.confirmed_facts();
+            let characterize_facts: Vec<&ActivityFacts> =
+                facts.iter().map(|facts| &facts.characterize).collect();
+            let baseline = CharacterizeBaseline {
+                market_totals: self.market_totals.clone(),
+                legit_volume_cdf: self.legit.cdf(),
+                collection_created: self.collection_created.clone(),
+            };
+            LiveReport {
+                refinement: self.refine_agg.report(),
+                detection: self.detection.resolve(&dataset.interner),
+                characterization: characterize_from_parts(
+                    &self.detection.confirmed,
+                    &characterize_facts,
+                    baseline,
+                ),
+                rewards: reduce_rewards(
+                    facts.iter().filter_map(|facts| facts.reward.as_ref()),
+                    directory,
+                ),
+                resales: reduce_resales(facts.iter().filter_map(|facts| facts.resale.as_ref())),
+                dataset_nfts: dataset.nft_count(),
+                dataset_transfers: dataset.transfer_count(),
+                raw_transfer_events: dataset.raw_transfer_events,
+                compliant_contracts: dataset.compliant_contracts.len(),
+                non_compliant_contracts: dataset.non_compliant_contracts.len(),
+                watermark: self.watermark,
+                epochs: self.epochs.clone(),
+            }
+        })
     }
 
     /// Rebuild the current live report from scratch — the pre-incremental
     /// full-rescan tail: flatten and globally sort every cached candidate,
     /// re-run the leverage pass, then recompute characterization and both
     /// profit analyses over the full confirmed set with no cached leaves.
-    /// This is the incremental reassembly's reference: the result must be
+    /// This is the incremental path's reference: the result must be
     /// bit-identical to [`StreamAnalyzer::report`] after every epoch (the
     /// equivalence suite asserts it).
     pub fn rebuild_full_report(&self) -> LiveReport {
@@ -832,8 +891,8 @@ impl<'a> StreamAnalyzer<'a> {
             raw_transfer_events: dataset.raw_transfer_events,
             compliant_contracts: dataset.compliant_contracts.len(),
             non_compliant_contracts: dataset.non_compliant_contracts.len(),
-            watermark: self.live.watermark,
-            epochs: self.live.epochs.clone(),
+            watermark: self.watermark,
+            epochs: self.epochs.clone(),
         }
     }
 
@@ -842,32 +901,29 @@ impl<'a> StreamAnalyzer<'a> {
         self.cursor.is_caught_up(self.input.chain)
     }
 
-    /// The streaming status of one NFT.
+    /// The streaming status of one NFT, as of the last ingested epoch.
+    /// Answered from the NFT's own cached state and confirmed group: it
+    /// neither walks the confirmed set nor builds the report.
     pub fn status(&self, nft: NftId) -> NftStatus {
-        let confirmed: Vec<&washtrade::refine::Candidate> = self
-            .live
-            .detection
-            .confirmed
-            .iter()
-            .filter(|activity| activity.nft() == nft)
-            .map(|activity| &activity.candidate)
-            .collect();
-        if !confirmed.is_empty() {
-            return NftStatus::Confirmed {
-                activities: confirmed.len(),
-                volume: confirmed.iter().map(|candidate| candidate.volume).sum(),
-            };
-        }
-        let dataset = &self.dataset;
-        let Some(key) = dataset.interner.nft_key(nft) else {
+        let Some(key) = self.dataset.interner.nft_key(nft) else {
             return NftStatus::Unseen;
         };
         if let Some(state) = self.states.get(key.index()).and_then(Option::as_ref) {
+            let confirmed = self.leverage.confirmed(key);
+            if !confirmed.is_empty() {
+                return NftStatus::Confirmed {
+                    activities: confirmed.len(),
+                    volume: confirmed
+                        .iter()
+                        .map(|&(at, _)| state.refinement.candidates[at].volume)
+                        .sum(),
+                };
+            }
             if !state.refinement.candidates.is_empty() {
                 return NftStatus::Candidate { components: state.refinement.candidates.len() };
             }
         }
-        match dataset.columns.transfer_count_of(key) {
+        match self.dataset.columns.transfer_count_of(key) {
             0 => NftStatus::Unseen,
             transfers => NftStatus::Clean { transfers },
         }
@@ -891,7 +947,7 @@ impl<'a> StreamAnalyzer<'a> {
     /// The confirmed activities still in dense-id form, as the last epoch's
     /// snapshot was built from them.
     pub fn dense_confirmed(&self) -> &[DenseActivity] {
-        &self.dense_confirmed
+        &self.detection.confirmed
     }
 
     /// Currently confirmed NFTs whose latest transition into the confirmed
@@ -917,93 +973,43 @@ impl<'a> StreamAnalyzer<'a> {
     }
 }
 
-/// One NFT whose confirmed activity group differs between two consecutive
-/// dense confirmed lists: the group's index range in each list. On the side
-/// where the NFT is absent the range is empty, placed where the group would
-/// sit, so the stretches between consecutive changes line up one to one.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One NFT whose confirmed group an epoch changed.
+#[derive(Debug, Clone, PartialEq)]
 struct GroupChange {
     nft: NftId,
-    previous: Range<usize>,
+    /// The group's previous activities; empty for a new suspect.
+    previous: Vec<DenseActivity>,
+    /// The group's range in the patched confirmed list; empty for a lost
+    /// suspect.
     current: Range<usize>,
 }
 
-/// The per-NFT group diff of two consecutive dense confirmed lists, in
-/// ascending NFT order — the one walk over the confirmed set that every
-/// piece of confirmed-set bookkeeping reads: the legit-volume flips, the
-/// resolved-report patch, the suspect transitions and the snapshot's
-/// changed set. Both inputs are in confirmed order (sorted by `(resolved
-/// NFT, first account)`), so this is a linear merge over per-NFT groups; a
-/// group present on only one side (new or lost suspect) is changed, a group
-/// present on both sides is changed iff its dense activities differ. Dense
-/// keys are bijective with NFT ids, so equal keys need no resolution; only a
-/// mismatch resolves both to order them.
-fn confirmed_group_diff(
-    previous: &[DenseActivity],
-    current: &[DenseActivity],
-    interner: &ids::Interner,
-) -> Vec<GroupChange> {
-    fn group_end(activities: &[DenseActivity], start: usize) -> usize {
-        let key = activities[start].candidate.nft;
-        let mut end = start + 1;
-        while end < activities.len() && activities[end].candidate.nft == key {
-            end += 1;
-        }
-        end
+/// Patch a confirmed list with each changed NFT's new group: `group`
+/// replaces `confirmed[range]` (ranges ascending and disjoint; an empty
+/// range inserts where the group sorts), and every stretch in between moves
+/// over as is. Returns the patched list and the changes, each with the
+/// activities it replaced and its range in the patched list.
+fn patch_groups(
+    confirmed: Vec<DenseActivity>,
+    groups: Vec<(NftId, Range<usize>, Vec<DenseActivity>)>,
+) -> (Vec<DenseActivity>, Vec<GroupChange>) {
+    if groups.is_empty() {
+        return (confirmed, Vec::new());
     }
-    let mut changes = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < previous.len() || j < current.len() {
-        let prev_key = previous.get(i).map(|activity| activity.candidate.nft);
-        let cur_key = current.get(j).map(|activity| activity.candidate.nft);
-        let order = match (prev_key, cur_key) {
-            (Some(prev), Some(cur)) if prev == cur => Ordering::Equal,
-            (Some(prev), Some(cur)) => interner.nft(prev).cmp(&interner.nft(cur)),
-            (Some(_), None) => Ordering::Less,
-            (None, _) => Ordering::Greater,
-        };
-        let (prev_end, cur_end) = match order {
-            Ordering::Equal => (group_end(previous, i), group_end(current, j)),
-            Ordering::Less => (group_end(previous, i), j),
-            Ordering::Greater => (i, group_end(current, j)),
-        };
-        if previous[i..prev_end] != current[j..cur_end] {
-            let key = if prev_end > i { &previous[i] } else { &current[j] }.candidate.nft;
-            changes.push(GroupChange {
-                nft: interner.nft(key),
-                previous: i..prev_end,
-                current: j..cur_end,
-            });
-        }
-        i = prev_end;
-        j = cur_end;
-    }
-    changes
-}
-
-/// The resolved twin of `current`, patched from `previous` — the resolved
-/// twin of the list `changes` was diffed against: every unchanged stretch
-/// moves over as is, and only the changed groups are resolved. Exact
-/// because the interner is append-only, so an unchanged dense group
-/// resolves to the activities it resolved to before.
-fn patch_resolved(
-    previous: Vec<ConfirmedActivity>,
-    current: &[DenseActivity],
-    changes: &[GroupChange],
-    interner: &ids::Interner,
-) -> Vec<ConfirmedActivity> {
-    let mut previous = previous.into_iter();
-    let mut resolved = Vec::with_capacity(current.len());
+    let mut old = confirmed.into_iter();
+    let mut patched = Vec::with_capacity(old.len());
+    let mut changes = Vec::with_capacity(groups.len());
     let mut at = 0;
-    for change in changes {
-        resolved.extend(previous.by_ref().take(change.current.start - at));
-        previous.by_ref().take(change.previous.len()).for_each(drop);
-        resolved.extend(current[change.current.clone()].iter().map(|a| a.resolve(interner)));
-        at = change.current.end;
+    for (nft, range, group) in groups {
+        patched.extend(old.by_ref().take(range.start - at));
+        let previous = old.by_ref().take(range.len()).collect();
+        let start = patched.len();
+        patched.extend(group);
+        changes.push(GroupChange { nft, previous, current: start..patched.len() });
+        at = range.end;
     }
-    resolved.extend(previous);
-    assert_eq!(resolved.len(), current.len(), "patched report misaligned");
-    resolved
+    patched.extend(old);
+    (patched, changes)
 }
 
 #[cfg(test)]
@@ -1037,16 +1043,10 @@ mod tests {
     }
 
     #[test]
-    fn group_diff_reports_changed_groups_with_aligned_ranges() {
+    fn patch_replaces_changed_groups_and_moves_the_rest() {
         let mut interner = Interner::new();
-        let mut nfts: Vec<NftId> =
-            (0..7).map(|token| NftId::new(Address::derived("diff"), token)).collect();
-        nfts.sort();
-        // Intern in descending identity order, so dense-key order disagrees
-        // with the confirmed (identity) order the diff must follow.
-        for nft in nfts.iter().rev() {
-            interner.intern_nft(*nft);
-        }
+        let nfts: Vec<NftId> =
+            (0..7).map(|token| NftId::new(Address::derived("patch"), token)).collect();
         let [a, b, c, d, e, f, g] = nfts[..] else { unreachable!() };
         let previous = vec![
             activity(&mut interner, a, "x", 1),
@@ -1063,34 +1063,39 @@ mod tests {
             activity(&mut interner, e, "x", 5),
             activity(&mut interner, g, "x", 8),
         ];
-        let change = |nft, previous, current| GroupChange { nft, previous, current };
-        let changes = confirmed_group_diff(&previous, &current, &interner);
+        let groups = vec![
+            (b, 1..3, current[1..2].to_vec()), // lost one of two activities
+            (c, 3..4, Vec::new()),             // lost suspect, mid-list
+            (d, 4..4, current[2..3].to_vec()), // new suspect, mid-list
+            (f, 5..6, Vec::new()),             // lost suspect, at the end
+            (g, 6..6, current[4..5].to_vec()), // new suspect, at the end
+        ];
+        let (patched, changes) = patch_groups(previous.clone(), groups);
+        assert_eq!(patched, current);
+        let change = |nft, previous: &[DenseActivity], current| GroupChange {
+            nft,
+            previous: previous.to_vec(),
+            current,
+        };
         assert_eq!(
             changes,
             vec![
-                change(b, 1..3, 1..2), // lost one of two activities
-                change(c, 3..4, 2..2), // lost suspect, mid-list
-                change(d, 4..4, 2..3), // new suspect, mid-list
-                change(f, 5..6, 4..4), // lost suspect, at the end
-                change(g, 6..6, 4..5), // new suspect, at the end
+                change(b, &previous[1..3], 1..2),
+                change(c, &previous[3..4], 2..2),
+                change(d, &[], 2..3),
+                change(f, &previous[5..6], 4..4),
+                change(g, &[], 4..5),
             ]
         );
 
-        let resolve_all = |list: &[DenseActivity]| -> Vec<ConfirmedActivity> {
-            list.iter().map(|activity| activity.resolve(&interner)).collect()
-        };
-        let patched = patch_resolved(resolve_all(&previous), &current, &changes, &interner);
-        assert_eq!(patched, resolve_all(&current));
-
-        // Identical lists diff to nothing; from and to an empty list every
-        // group changes.
-        assert!(confirmed_group_diff(&current, &current, &interner).is_empty());
-        let from_empty = confirmed_group_diff(&[], &current, &interner);
-        assert!(from_empty.iter().all(|change| change.previous == (0..0)));
-        assert_eq!(patch_resolved(Vec::new(), &current, &from_empty, &interner), patched);
-        let to_empty = confirmed_group_diff(&current, &[], &interner);
-        assert_eq!(to_empty.len(), 5);
-        assert!(patch_resolved(patched, &[], &to_empty, &interner).is_empty());
+        // No change hands the list back untouched; replacing every group
+        // from or to an empty list rebuilds or clears it.
+        assert_eq!(patch_groups(current.clone(), Vec::new()), (current.clone(), Vec::new()));
+        let (built, _) = patch_groups(Vec::new(), vec![(a, 0..0, current.clone())]);
+        assert_eq!(built, current);
+        let (cleared, changes) = patch_groups(current.clone(), vec![(a, 0..5, Vec::new())]);
+        assert!(cleared.is_empty());
+        assert_eq!(changes, vec![change(a, &current, 0..0)]);
     }
 
     /// `confirmed_at` holds exactly the confirmed NFTs, each dated by the

@@ -8,7 +8,8 @@
 //! full column scan; [`LegitVolumeSet`] maintains the same sample multiset
 //! across epochs — appends price only the new rows, and the confirmed-set
 //! delta flips only the rows of transactions whose wash status actually
-//! changed — so snapshotting the CDF is a memcpy instead of a world scan.
+//! changed — so reading the CDF is one merge and copy instead of a world
+//! scan, and the analyzer reads it only when its report is read.
 //! The delta is fed only the confirmed activities of NFTs whose confirmed
 //! group changed this epoch: an unchanged group would add −k then +k to each
 //! of its transactions' reference counts, so leaving it out yields the same
@@ -85,6 +86,7 @@ impl LegitVolumeSet {
             }
         }
         self.next_row = columns.len();
+        self.settle();
     }
 
     /// Apply one epoch's confirmed-set transition: reference counts drop for
@@ -146,6 +148,7 @@ impl LegitVolumeSet {
                 self.flip(columns, tx, true);
             }
         }
+        self.settle();
     }
 
     /// Move the eligible rows of `tx` out of the sample multiset (it became
@@ -164,48 +167,68 @@ impl LegitVolumeSet {
         }
     }
 
-    /// The current baseline CDF — commits pending moves, then snapshots the
-    /// sorted multiset.
-    pub fn cdf(&mut self) -> Cdf {
-        self.commit();
-        Cdf::from_sorted(self.sorted.clone())
+    /// The current baseline CDF: the sorted multiset with the pending moves
+    /// merged in, leaving the set itself as it is. O(samples): it copies
+    /// the multiset, which is why the analyzer only asks for it when its
+    /// report is read.
+    pub fn cdf(&self) -> Cdf {
+        Cdf::from_sorted(self.merged())
     }
 
-    /// Merge this epoch's pending adds/removes into the sorted multiset:
-    /// one sort of the (small) pending sets plus one linear merge. Equal
-    /// samples are interchangeable (identical bits under `total_cmp`), so
-    /// add/remove pairs cancel and removals may take any matching instance.
+    /// Commit the pending moves once they reach an eighth of the multiset.
+    /// A commit is one linear merge, so its cost spreads to O(1) per moved
+    /// sample; an analyzer whose report is never read never pays a merge
+    /// per epoch, and the pending lists stay bounded.
+    fn settle(&mut self) {
+        if self.pending_add.len() + self.pending_remove.len() > self.sorted.len() / 8 {
+            self.commit();
+        }
+    }
+
+    /// Merge the pending adds/removes into the sorted multiset.
     fn commit(&mut self) {
         if self.pending_add.is_empty() && self.pending_remove.is_empty() {
             return;
         }
-        self.pending_add.sort_by(|a, b| a.total_cmp(b));
-        self.pending_remove.sort_by(|a, b| a.total_cmp(b));
+        self.sorted = self.merged();
+        self.pending_add.clear();
+        self.pending_remove.clear();
+    }
 
-        // Cancel same-epoch add/remove pairs (e.g. a row appended and
-        // immediately washed): both lists are sorted, so one linear pass.
+    /// The sorted multiset with the pending moves applied: one sort of the
+    /// (small) pending sets plus one linear merge. Equal samples are
+    /// interchangeable (identical bits under `total_cmp`), so add/remove
+    /// pairs cancel and removals may take any matching instance — which
+    /// also makes the result independent of how many epochs the pending
+    /// moves span.
+    fn merged(&self) -> Vec<f64> {
+        let mut pending_add = self.pending_add.clone();
+        let mut pending_remove = self.pending_remove.clone();
+        pending_add.sort_by(|a, b| a.total_cmp(b));
+        pending_remove.sort_by(|a, b| a.total_cmp(b));
+
+        // Cancel add/remove pairs (e.g. a row appended and then washed):
+        // both lists are sorted, so one linear pass.
         let (mut adds, mut removes) = (Vec::new(), Vec::new());
         let (mut i, mut j) = (0, 0);
-        while i < self.pending_add.len() && j < self.pending_remove.len() {
-            match self.pending_add[i].total_cmp(&self.pending_remove[j]) {
+        while i < pending_add.len() && j < pending_remove.len() {
+            match pending_add[i].total_cmp(&pending_remove[j]) {
                 std::cmp::Ordering::Equal => {
                     i += 1;
                     j += 1;
                 }
                 std::cmp::Ordering::Less => {
-                    adds.push(self.pending_add[i]);
+                    adds.push(pending_add[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    removes.push(self.pending_remove[j]);
+                    removes.push(pending_remove[j]);
                     j += 1;
                 }
             }
         }
-        adds.extend_from_slice(&self.pending_add[i..]);
-        removes.extend_from_slice(&self.pending_remove[j..]);
-        self.pending_add.clear();
-        self.pending_remove.clear();
+        adds.extend_from_slice(&pending_add[i..]);
+        removes.extend_from_slice(&pending_remove[j..]);
 
         let mut merged = Vec::with_capacity(self.sorted.len() + adds.len());
         let mut add = adds.iter().copied().peekable();
@@ -222,7 +245,7 @@ impl LegitVolumeSet {
         }
         merged.extend(add);
         assert_eq!(remove_at, removes.len(), "removed sample missing from multiset");
-        self.sorted = merged;
+        merged
     }
 }
 
@@ -349,6 +372,26 @@ mod tests {
         set.commit();
         set.pending_remove.push(2.0);
         set.commit();
+    }
+
+    #[test]
+    fn cdf_reads_pending_moves_that_span_epochs_without_committing() {
+        let (columns, mut set) = one_row_per_tx(32);
+        set.commit();
+        // Epoch one washes tx 1, epoch two un-washes it and washes tx 2:
+        // three moves in all, under the commit threshold of 32 / 8.
+        set.apply_confirmed_delta(&columns, [], [&activity(&[1])]);
+        set.apply_confirmed_delta(&columns, [&activity(&[1])], [&activity(&[2])]);
+        let read = set.cdf();
+        assert_eq!(set.pending_add.len() + set.pending_remove.len(), 3, "a read commits nothing");
+        let mut committed = set.clone();
+        committed.commit();
+        assert_eq!(read, Cdf::from_sorted(committed.sorted));
+        assert_eq!(read.len(), 31);
+        // Past the threshold, the moves commit on their own.
+        set.apply_confirmed_delta(&columns, [], [&activity(&[3, 4])]);
+        assert!(set.pending_add.is_empty() && set.pending_remove.is_empty());
+        assert_eq!(set.sorted.len(), 29);
     }
 
     #[test]

@@ -272,12 +272,111 @@ fn partial_caches_survive_adversarial_transitions() {
     );
 }
 
+/// A leverage flip on an NFT the epoch did not touch (§IV-C v). The pair
+/// `{a, b}` buys NFT `x` from an outsider and round-trips it, with no flow
+/// evidence, so `x` stays unconfirmed. A later epoch brings a zero-risk round
+/// trip of NFT `y` by the same pair: it confirms `{a, b}`, and with it `x`
+/// by leverage, although that epoch dirties `y` alone. The epoch must list
+/// both as new suspects, and its report must equal the full rescan and, at
+/// the tip, batch.
+#[test]
+fn leverage_flips_reach_nfts_the_epoch_did_not_touch() {
+    use ethsim::{Address, Chain, Selector, TxRequest};
+    use tokens::TokenRegistry;
+
+    let mut chain = Chain::new(Timestamp::from_secs(1_640_995_200));
+    let mut tokens = TokenRegistry::new();
+    let genesis = chain.current_timestamp();
+    let collection = tokens.deploy_erc721(&mut chain, "lever", "LEV", true, genesis).unwrap();
+    let [outsider, a, b] = ["outsider", "a", "b"].map(|seed| {
+        let account = chain.create_eoa(seed).unwrap();
+        chain.fund(account, Wei::from_eth(10.0));
+        account
+    });
+    // One transaction a day, each in its own block: a mint by its
+    // recipient, or a sale paid by the buyer to the seller.
+    let next_day = |chain: &mut Chain| {
+        chain.advance_to(chain.current_timestamp().plus_secs(86_400)).unwrap();
+    };
+    let mint = |chain: &mut Chain, tokens: &mut TokenRegistry, owner: Address| {
+        let (nft, log) = tokens.erc721_mut(collection).unwrap().mint(owner);
+        let call = Selector::of("mint(address)");
+        let request = TxRequest::contract_call(
+            owner,
+            collection,
+            call,
+            Wei::ZERO,
+            90_000,
+            Wei::from_gwei(30),
+        );
+        chain.submit(request.with_log(log)).unwrap();
+        nft
+    };
+    let sell = |chain: &mut Chain, tokens: &mut TokenRegistry, nft: NftId, seller, buyer, eth| {
+        let log = tokens.erc721_mut(collection).unwrap().transfer(seller, buyer, nft.token_id);
+        chain
+            .submit(TxRequest {
+                from: buyer,
+                to: Some(seller),
+                value: Wei::from_eth(eth),
+                gas_used: 85_000,
+                gas_price: Wei::from_gwei(30),
+                input: vec![],
+                logs: vec![log.unwrap()],
+                internal_transfers: vec![],
+            })
+            .unwrap();
+    };
+    let x = mint(&mut chain, &mut tokens, outsider);
+    for (seller, buyer, eth) in [(outsider, a, 1.0), (a, b, 2.0), (b, a, 2.0)] {
+        next_day(&mut chain);
+        sell(&mut chain, &mut tokens, x, seller, buyer, eth);
+    }
+    next_day(&mut chain);
+    let split = chain.current_block_number().0;
+    let y = mint(&mut chain, &mut tokens, a);
+    for (seller, buyer) in [(a, b), (b, a)] {
+        next_day(&mut chain);
+        sell(&mut chain, &mut tokens, y, seller, buyer, 2.0);
+    }
+
+    let labels = labels::LabelRegistry::new();
+    let directory = marketplace::MarketplaceDirectory::new();
+    let oracle = oracle::PriceOracle::paper_presets(genesis, 30, 1);
+    let input =
+        AnalysisInput { chain: &chain, labels: &labels, directory: &directory, oracle: &oracle };
+    let mut live = StreamAnalyzer::new(input, StreamOptions::single_threaded());
+    let first = live.ingest_epoch(split).expect("x's blocks");
+    assert_eq!(first.new_suspects, Vec::<NftId>::new(), "x alone is no wash trade");
+    assert_eq!(live.status(x), NftStatus::Candidate { components: 1 });
+    let second = live.ingest_epoch(u64::MAX).expect("y's blocks");
+    assert_eq!(second.dirty_nfts, 1, "the second epoch touches y alone");
+    let mut both = vec![x, y];
+    both.sort();
+    assert_eq!(second.new_suspects, both);
+    assert!(matches!(live.status(x), NftStatus::Confirmed { activities: 1, .. }));
+    let report = live.report();
+    assert_eq!(report.detection.leveraged_only, 1);
+    assert_eq!(report, &live.rebuild_full_report());
+    assert_live_equals_batch(
+        report,
+        &analyze_with(input, AnalysisOptions::single_threaded()),
+        "tip",
+    );
+    assert_eq!(live.suspects_since(BlockNumber(0)), both);
+}
+
 proptest::proptest! {
+    // Also reads the report after a random subset of epochs (bit `i % 64`
+    // of `reads` picks epoch `i`): a read builds and caches the report, so a
+    // cache the next epoch failed to drop would leave the final report
+    // stale.
     #[test]
     fn streaming_equals_batch_at_random_epoch_slicings(
         seed in 0u64..1_000,
         threads in 1usize..5,
         budgets in proptest::collection::vec(1u64..120, 1..6),
+        reads in 0u64..u64::MAX,
     ) {
         let world = World::generate(tiny_config(seed)).expect("world");
         let input = input_of(&world);
@@ -288,10 +387,17 @@ proptest::proptest! {
 
         let mut live = StreamAnalyzer::new(input, StreamOptions { threads });
         let mut cycle = budgets.iter().cycle();
-        while live.ingest_epoch(*cycle.next().expect("non-empty budgets")).is_some() {}
+        while let Some(delta) = live.ingest_epoch(*cycle.next().expect("non-empty budgets")) {
+            if reads >> (delta.index % 64) & 1 == 1 {
+                let report = live.report();
+                proptest::prop_assert_eq!(report.epochs.len(), delta.index + 1);
+                proptest::prop_assert_eq!(report.watermark, BlockNumber(delta.last_block.0 + 1));
+            }
+        }
 
-        let context = format!("seed {seed}, threads {threads}, budgets {budgets:?}");
+        let context = format!("seed {seed}, threads {threads}, budgets {budgets:?}, reads {reads:#x}");
         assert_live_equals_batch(live.report(), &batch, &context);
+        proptest::prop_assert_eq!(live.report(), &live.rebuild_full_report(), "{}", context);
 
         // The wash-trade sets agree exactly (redundant with the detection
         // equality above, but this is the set the paper's tables build on —
