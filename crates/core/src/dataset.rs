@@ -56,11 +56,13 @@ pub struct MarketplaceVolume {
     pub name: String,
     /// Number of distinct NFTs traded there.
     pub nfts: usize,
-    /// Number of sale transactions.
+    /// Number of sale transactions, each counted once however many NFTs it
+    /// moves.
     pub transactions: usize,
-    /// Traded volume in ETH.
+    /// Traded volume in ETH: each transaction's price (that of its first
+    /// row) once, summed in chain order.
     pub volume_eth: f64,
-    /// Traded volume in USD at transaction time.
+    /// Traded volume in USD at transaction time, summed like `volume_eth`.
     pub volume_usd: f64,
 }
 
@@ -210,46 +212,25 @@ impl Dataset {
     }
 
     /// Per-marketplace totals (Table I): NFTs, transactions and volume of all
-    /// activity attributed to each marketplace. Batch analysis folds this
-    /// once per run, in its `characterize` stage, and reports those rows.
+    /// activity attributed to each marketplace — one [`MarketVolumeFold`]
+    /// pass over every row. Batch analysis folds this once per run, in its
+    /// `characterize` stage, and reports those rows.
     pub fn marketplace_volumes(
         &self,
         directory: &MarketplaceDirectory,
         oracle: &PriceOracle,
     ) -> Vec<MarketplaceVolume> {
-        self.marketplace_volumes_with(directory, oracle, &Executor::new(1))
-    }
-
-    /// [`Dataset::marketplace_volumes`] as a two-level fold: the USD pricing
-    /// of each NFT's marketplace rows ([`Dataset::nft_market_leaves`], the
-    /// expensive half) fans out over `executor`, then a serial
-    /// [`MarketVolumeFold`] replays the per-transaction accumulation in
-    /// identity-sorted NFT order — the exact order the one-level loop used,
-    /// so the f64 totals are bit-identical at any thread count. The
-    /// streaming analyzer reuses the same fold over *cached* leaves,
-    /// repricing only dirty NFTs.
-    pub fn marketplace_volumes_with(
-        &self,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
-        executor: &Executor,
-    ) -> Vec<MarketplaceVolume> {
-        let keys = self.interner.nft_keys_sorted_by_id();
-        let leaves = executor.map(&keys, |&key| self.nft_market_leaves(key, oracle));
-        let mut fold = MarketVolumeFold::new(self.interner.market_count());
-        for (key, leaves) in keys.iter().zip(&leaves) {
-            fold.add(*key, leaves);
-        }
-        fold.rows(directory, &self.interner)
+        let mut fold = MarketVolumeFold::default();
+        fold.extend(&self.columns, oracle);
+        fold.table(directory, &self.interner)
     }
 
     /// The marketplace-attributed transfer rows of one NFT with their USD
-    /// pricing precomputed, in row (chronological) order — the per-NFT leaf
-    /// record of the two-level [`MarketVolumeFold`]. Each leaf carries its
-    /// row's dense [`TxId`], never the 32-byte hash. Leaves are a pure
-    /// function of the NFT's (append-only) history, and transaction ids are
-    /// append-only too, so the streaming analyzer caches the leaves of clean
-    /// NFTs across epochs and folds them with the same [`MarketVolumeFold`].
+    /// pricing precomputed, in row (chronological) order, each with its
+    /// row's dense [`TxId`]. No analysis path calls this since Table I folds
+    /// rows in chain order ([`MarketVolumeFold`]); it stays for the
+    /// benchmark's leaf-facts replay, which still prices each dirty NFT's
+    /// leaves.
     pub fn nft_market_leaves(&self, key: NftKey, oracle: &PriceOracle) -> NftMarketLeaves {
         let leaves = self
             .columns
@@ -272,13 +253,13 @@ impl Dataset {
     }
 }
 
-/// One marketplace-attributed transfer of an NFT with its price converted —
-/// the leaf of the two-level Table I fold.
+/// One marketplace-attributed transfer of an NFT with its price converted
+/// (see [`Dataset::nft_market_leaves`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarketLeaf {
     /// The attributed marketplace.
     pub market: ids::MarketId,
-    /// The carrying transaction (volume is deduplicated per transaction).
+    /// The carrying transaction.
     pub tx: TxId,
     /// Price in ETH.
     pub eth: f64,
@@ -294,58 +275,68 @@ pub struct NftMarketLeaves {
     pub leaves: Vec<MarketLeaf>,
 }
 
-/// The serial reduce of the Table I marketplace volumes: feed it per-NFT
-/// [`NftMarketLeaves`] in identity-sorted NFT order via
-/// [`MarketVolumeFold::add`] and it accumulates exactly as the original
-/// one-level loop did — including the global per-market transaction
-/// deduplication, replayed in the same order, so every f64 sum lands on the
-/// same bits. The dedup is a [`BitSet`] over dense [`TxId`]s, which are
-/// bijective with transaction hashes, so every verdict is the one a hash set
-/// would give. Batch ([`Dataset::marketplace_volumes_with`]) and the
-/// streaming analyzer (over cached leaves) share this one fold.
+/// Table I as a fold over transfer rows in row order, which is chain order
+/// at any epoch slicing and thread count. For each marketplace it keeps the
+/// set of NFTs with an attributed row, and the first row of each transaction
+/// adds that transaction's price once, in ETH and in USD at the row's
+/// timestamp.
+///
+/// A transaction's rows are consecutive ([`TransferColumns::tx`]), so a
+/// marketplace tells a first row from the last transaction it counted. All
+/// rows of a transaction arrive in one block, so no later row ever joins a
+/// transaction already counted: the fold only appends. Extending it epoch by
+/// epoch therefore performs the same float additions, in the same order, as
+/// one pass over the whole store, with nothing replayed or retracted. Batch
+/// ([`Dataset::marketplace_volumes`]) makes that one pass; the streaming
+/// analyzer keeps a fold and extends it with each epoch's rows.
+#[derive(Debug, Clone, Default)]
 pub struct MarketVolumeFold {
-    per_market: Vec<Option<MarketAccumulator>>,
+    /// The fold covers store rows `0..folded`.
+    folded: usize,
+    /// Per-marketplace accumulators, indexed by dense marketplace id.
+    per_market: Vec<MarketAccumulator>,
 }
 
+#[derive(Debug, Clone, Default)]
 struct MarketAccumulator {
     nfts: BitSet,
-    transactions: BitSet,
+    transactions: usize,
+    /// The last transaction this marketplace counted.
+    last_tx: Option<TxId>,
     volume_eth: f64,
     volume_usd: f64,
 }
 
 impl MarketVolumeFold {
-    /// An empty fold over `market_count` dense marketplace ids.
-    pub fn new(market_count: usize) -> Self {
-        let mut per_market = Vec::new();
-        per_market.resize_with(market_count, || None);
-        MarketVolumeFold { per_market }
-    }
-
-    /// Fold one NFT's leaves. Callers must add NFTs in identity-sorted
-    /// order: the volume fields are f64 sums, and floating-point addition is
-    /// order-sensitive, so the accumulation order must be a property of the
-    /// data, never of ingest order.
-    pub fn add(&mut self, key: NftKey, leaves: &NftMarketLeaves) {
-        for leaf in &leaves.leaves {
-            let accumulator =
-                self.per_market[leaf.market.index()].get_or_insert_with(|| MarketAccumulator {
-                    nfts: BitSet::new(),
-                    transactions: BitSet::new(),
-                    volume_eth: 0.0,
-                    volume_usd: 0.0,
-                });
-            accumulator.nfts.insert(key.index());
-            if accumulator.transactions.insert(leaf.tx.index()) {
-                accumulator.volume_eth += leaf.eth;
-                accumulator.volume_usd += leaf.usd;
+    /// Fold the rows appended to `columns` since the last call (every row on
+    /// the first), in row order. Successive calls must pass the same growing
+    /// store.
+    pub fn extend(&mut self, columns: &TransferColumns, oracle: &PriceOracle) {
+        for row in self.folded..columns.len() {
+            let Some(market) = columns.marketplace[row] else {
+                continue;
+            };
+            if self.per_market.len() <= market.index() {
+                self.per_market.resize_with(market.index() + 1, MarketAccumulator::default);
+            }
+            let accumulator = &mut self.per_market[market.index()];
+            accumulator.nfts.insert(columns.nft[row].index());
+            let tx = columns.tx[row];
+            if accumulator.last_tx != Some(tx) {
+                accumulator.last_tx = Some(tx);
+                accumulator.transactions += 1;
+                let price = columns.price[row];
+                accumulator.volume_eth += price.to_eth();
+                accumulator.volume_usd +=
+                    oracle.wei_to_usd(price, columns.timestamp[row]).unwrap_or(0.0);
             }
         }
+        self.folded = columns.len();
     }
 
     /// Resolve the fold into directory-named rows sorted by USD volume.
-    pub fn rows(
-        self,
+    pub fn table(
+        &self,
         directory: &MarketplaceDirectory,
         interner: &Interner,
     ) -> Vec<MarketplaceVolume> {
@@ -354,11 +345,11 @@ impl MarketVolumeFold {
             .map(|info| {
                 let accumulator = interner
                     .market_id(info.contract)
-                    .and_then(|id| self.per_market[id.index()].as_ref());
+                    .and_then(|id| self.per_market.get(id.index()));
                 MarketplaceVolume {
                     name: info.name.clone(),
                     nfts: accumulator.map(|a| a.nfts.len()).unwrap_or(0),
-                    transactions: accumulator.map(|a| a.transactions.len()).unwrap_or(0),
+                    transactions: accumulator.map(|a| a.transactions).unwrap_or(0),
                     volume_eth: accumulator.map(|a| a.volume_eth).unwrap_or(0.0),
                     volume_usd: accumulator.map(|a| a.volume_usd).unwrap_or(0.0),
                 }

@@ -316,7 +316,7 @@ impl PipelineStage for Characterize {
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let confirmed = &ctx.detection().confirmed;
         let (dataset, directory, oracle) = (ctx.dataset(), ctx.input.directory, ctx.input.oracle);
-        let table1 = dataset.marketplace_volumes_with(directory, oracle, &ctx.executor);
+        let table1 = dataset.marketplace_volumes(directory, oracle);
         let characterization =
             characterize_with(confirmed, dataset, directory, oracle, &table1, &ctx.executor);
         let io = StageIo {

@@ -30,7 +30,8 @@ pub struct Candidate {
     pub first_trade: Timestamp,
     /// Timestamp of the last internal sale.
     pub last_trade: Timestamp,
-    /// Total traded volume of the internal sales.
+    /// Total traded volume of the internal sales, saturating at
+    /// `u128::MAX` (a malformed price log can carry any `u128`).
     pub volume: Wei,
 }
 
@@ -64,7 +65,7 @@ impl Candidate {
                 continue;
             };
             match volume_by_market.iter_mut().find(|(m, _)| *m == market) {
-                Some((_, volume)) => *volume += edge.price.raw().max(1),
+                Some((_, volume)) => *volume = volume.saturating_add(edge.price.raw().max(1)),
                 None => volume_by_market.push((market, edge.price.raw().max(1))),
             }
         }
@@ -118,7 +119,8 @@ pub struct DenseCandidate {
     pub first_trade: Timestamp,
     /// Timestamp of the last internal sale.
     pub last_trade: Timestamp,
-    /// Total traded volume of the internal sales.
+    /// Total traded volume of the internal sales, saturating at
+    /// `u128::MAX` (a malformed price log can carry any `u128`).
     pub volume: Wei,
 }
 
@@ -141,9 +143,10 @@ impl DenseCandidate {
     }
 
     /// The marketplace that carries most of the component's volume, if any
-    /// of its sales went through a marketplace. Volume ties break towards
-    /// the lowest market *address* (resolved through the interner), matching
-    /// the address-keyed pipeline's deterministic tiebreak.
+    /// of its sales went through a marketplace. Per-market volumes saturate
+    /// at `u128::MAX`, and ties break towards the lowest market *address*
+    /// (resolved through the interner), matching the address-keyed
+    /// pipeline's deterministic tiebreak.
     pub fn dominant_marketplace(&self, interner: &Interner) -> Option<MarketId> {
         let mut volume_by_market: Vec<(MarketId, u128)> = Vec::new();
         for (_, _, edge) in &self.internal_edges {
@@ -151,7 +154,7 @@ impl DenseCandidate {
                 continue;
             };
             match volume_by_market.iter_mut().find(|(m, _)| *m == market) {
-                Some((_, volume)) => *volume += edge.price.raw().max(1),
+                Some((_, volume)) => *volume = volume.saturating_add(edge.price.raw().max(1)),
                 None => volume_by_market.push((market, edge.price.raw().max(1))),
             }
         }
@@ -515,7 +518,8 @@ impl<'a> Refiner<'a> {
         }
         let first_trade = internal_edges.iter().map(|(_, _, e)| e.timestamp).min()?;
         let last_trade = internal_edges.iter().map(|(_, _, e)| e.timestamp).max()?;
-        let volume = internal_edges.iter().map(|(_, _, e)| e.price).sum();
+        let volume =
+            internal_edges.iter().map(|(_, _, e)| e.price).fold(Wei::ZERO, Wei::saturating_add);
         Some(DenseCandidate {
             nft: graph.nft,
             accounts: accounts.to_vec(),
@@ -699,6 +703,43 @@ mod tests {
         let resolved = candidates[0].resolve(&dataset.interner).dominant_marketplace();
         assert_eq!(dense, Some(looksrare));
         assert_eq!(dense, resolved);
+    }
+
+    #[test]
+    fn max_price_sales_saturate_the_volume_and_venue_sums() {
+        // Two OpenSea sales at 2^127 wei each (one ERC-20 log can price a
+        // sale at any u128) and a LooksRare sale at 1 ETH. Wrapped, OpenSea's
+        // total would be zero and LooksRare would dominate; saturated, the
+        // candidate volume and OpenSea's total are both u128::MAX.
+        let nft = NftId::new(Address::derived("collection"), 10);
+        let a = Address::derived("big-1");
+        let b = Address::derived("big-2");
+        let opensea = Address::derived("opensea");
+        let looksrare = Address::derived("looksrare");
+        let mut rows = vec![
+            transfer(nft, Address::NULL, a, 0.0, 1),
+            transfer(nft, a, b, 0.0, 2),
+            transfer(nft, b, a, 0.0, 3),
+            transfer(nft, a, b, 1.0, 4),
+        ];
+        for row in &mut rows[1..3] {
+            row.price = Wei(1 << 127);
+            row.marketplace = Some(opensea);
+        }
+        rows[3].marketplace = Some(looksrare);
+        let dataset = dataset_of(&rows);
+        let graphs = graphs_of(&dataset);
+        let chain = chain_with(&[("big-1", false), ("big-2", false)]);
+        let labels = LabelRegistry::new();
+        let (candidates, _) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        assert_eq!(candidates.len(), 1);
+        assert_eq!(candidates[0].volume, Wei(u128::MAX));
+        let dense = candidates[0]
+            .dominant_marketplace(&dataset.interner)
+            .map(|id| dataset.interner.market(id));
+        let resolved = candidates[0].resolve(&dataset.interner).dominant_marketplace();
+        assert_eq!(dense, Some(opensea));
+        assert_eq!(resolved, Some(opensea));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! (`Dataset::marketplace_volumes`) and the §V characterization: a sum taken
 //! in `HashMap` iteration order (or in first-seen interning order) would
 //! drift in the last ulp between runs and between the batch and streaming
-//! pipelines. Both paths accumulate in sorted-identity order instead; these
+//! pipelines. Table I accumulates in row order, which is chain order at any
+//! slicing, and the characterization in the sorted confirmed order; these
 //! tests pin that down with exact bit comparisons.
 
-use washtrade::dataset::Dataset;
+use washtrade::dataset::{Dataset, MarketVolumeFold};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::{analyze_with, AnalysisInput, AnalysisOptions};
 use workload::{WorkloadConfig, World};
@@ -33,11 +34,12 @@ fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
     let world = World::generate(WorkloadConfig::small(11)).expect("world");
     let batch = Dataset::build(&world.chain, &world.directory);
 
-    // The same chain ingested in many small epochs: interning order is
-    // unchanged, but accumulation must not depend on it either way.
+    // The same chain ingested in many small epochs, with one Table I fold
+    // extended by each epoch's rows as the streaming analyzer keeps it.
     let tip = world.chain.current_block_number().0;
     let executor = Executor::new(1);
     let mut incremental = Dataset::default();
+    let mut fold = MarketVolumeFold::default();
     let mut from = 0u64;
     while from <= tip {
         let last = (from + 17).min(tip);
@@ -48,13 +50,18 @@ fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
             ethsim::BlockNumber(last),
             &executor,
         );
+        fold.extend(&incremental.columns, &world.oracle);
         from = last + 1;
     }
 
     let batch_rows = batch.marketplace_volumes(&world.directory, &world.oracle);
     let incremental_rows = incremental.marketplace_volumes(&world.directory, &world.oracle);
+    let streamed_rows = fold.table(&world.directory, &incremental.interner);
     assert_eq!(batch_rows.len(), incremental_rows.len());
-    for (a, b) in batch_rows.iter().zip(&incremental_rows) {
+    assert_eq!(batch_rows.len(), streamed_rows.len());
+    for (a, b) in
+        batch_rows.iter().zip(&incremental_rows).chain(batch_rows.iter().zip(&streamed_rows))
+    {
         assert_eq!(a.name, b.name);
         assert_eq!((a.nfts, a.transactions), (b.nfts, b.transactions));
         assert_bits_eq(a.volume_eth, b.volume_eth, &format!("{} volume_eth", a.name));

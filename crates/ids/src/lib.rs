@@ -210,15 +210,6 @@ impl Interner {
         &self.nfts
     }
 
-    /// All NFT keys ordered by their resolved `NftId` — the fixed iteration
-    /// order every float accumulation over NFTs uses, so sums never depend on
-    /// first-seen (ingest) order.
-    pub fn nft_keys_sorted_by_id(&self) -> Vec<NftKey> {
-        let mut keys: Vec<NftKey> = (0..self.nfts.len() as u32).map(NftKey).collect();
-        keys.sort_by_key(|key| self.nfts[key.index()]);
-        keys
-    }
-
     // -- marketplaces ------------------------------------------------------
 
     /// The id of marketplace `contract`, assigning the next dense id on
@@ -507,15 +498,6 @@ mod tests {
         assert_eq!(interner.nft(key), NftId::new(contract, 7));
         assert_eq!(interner.market(market), Address::derived("opensea"));
         assert_eq!(interner.nft_key(NftId::new(contract, 8)), None);
-    }
-
-    #[test]
-    fn nft_keys_sorted_by_id_orders_by_identity_not_first_seen() {
-        let mut interner = Interner::new();
-        let contract = Address::derived("c");
-        let late = interner.intern_nft(NftId::new(contract, 9));
-        let early = interner.intern_nft(NftId::new(contract, 1));
-        assert_eq!(interner.nft_keys_sorted_by_id(), vec![early, late]);
     }
 
     #[test]

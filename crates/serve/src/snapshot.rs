@@ -100,7 +100,7 @@ pub struct NftSummary {
     pub nft: NftId,
     /// Confirmed activities on the NFT.
     pub activities: usize,
-    /// Total confirmed wash volume on the NFT.
+    /// Total confirmed wash volume on the NFT, saturating at `u128::MAX`.
     pub volume: Wei,
     /// Last block of the epoch whose ingestion (most recently) confirmed the
     /// NFT; for batch-built snapshots, the last covered block.
@@ -772,7 +772,7 @@ impl Snapshot {
             let nft = segment[0].nft;
             let mut volume = Wei::ZERO;
             for record in segment.iter() {
-                volume += record.volume;
+                volume = volume.saturating_add(record.volume);
             }
             let summary = NftSummary {
                 nft,
@@ -858,15 +858,16 @@ impl Snapshot {
             }
         };
 
-        // Totals. The Wei total is exact integer arithmetic, so summing the
-        // per-segment subtotals already sitting in the (contiguous) suspect
-        // table equals the flat record fold bit for bit. The float totals
+        // Totals. The Wei total is exact integer arithmetic saturating at
+        // `u128::MAX`, so summing the per-segment subtotals already sitting
+        // in the (contiguous) suspect table equals the flat record fold bit
+        // for bit. The float totals
         // are order-sensitive: use the forwarded characterization fold when
         // the caller has one (same sequence, same order, same bits — pinned
         // by the parity suite), and run the flat record fold otherwise.
         let mut wash_volume = Wei::ZERO;
         for summary in &suspects {
-            wash_volume += summary.volume;
+            wash_volume = wash_volume.saturating_add(summary.volume);
         }
         let (wash_volume_eth, wash_volume_usd) = match wash_volumes {
             Some(volumes) => (volumes.eth, volumes.usd),
@@ -1000,7 +1001,7 @@ impl Snapshot {
         for &index in postings {
             let record = self.inner.activities.get(index as usize);
             nfts.push(record.nft);
-            wash_volume += record.volume;
+            wash_volume = wash_volume.saturating_add(record.volume);
             collaborators.extend(record.accounts.iter().copied().filter(|&a| a != account));
         }
         nfts.sort_unstable();

@@ -12,8 +12,10 @@
 //! the other NFTs whose leverage verdict flipped. Only those NFTs' confirmed
 //! groups are re-derived, and only the groups that changed patch the dense
 //! confirmed list, the suspect log, the Fig. 3 refcounts and the snapshot's
-//! changed set. The Table I fold and the Table II pass the snapshot needs
-//! run every epoch, through the batch code paths. The rest of the report —
+//! changed set. The snapshot also needs Table I and Table II. Table I is
+//! batch's row-order fold, kept across epochs and extended with only the
+//! rows each epoch appended; the Table II pass runs every epoch over the
+//! confirmed activities, through the batch code path. The rest of the report —
 //! the characterization, the Fig. 3 CDF, both profit reduces and the
 //! resolved detection outcome — is built on the first
 //! [`StreamAnalyzer::report`] read after an epoch, at O(confirmed) cost,
@@ -41,7 +43,7 @@ use washtrade::characterize::{
     activity_facts, characterize, characterize_from_parts, market_totals, marketplace_wash,
     ActivityFacts, Characterization, CharacterizeBaseline, MarketplaceWash,
 };
-use washtrade::dataset::{Dataset, MarketVolumeFold, NftMarketLeaves};
+use washtrade::dataset::{Dataset, MarketVolumeFold};
 use washtrade::detect::{
     DenseActivity, DenseDetectionOutcome, DetectionOutcome, Detector, LeverageIndex, MethodSet,
 };
@@ -93,9 +95,10 @@ pub struct EpochDelta {
     /// Wall-clock time of the epoch's reassembly, nanoseconds — the
     /// benchmark's `stream.reassemble_ms` sample. It covers the leverage
     /// index update, the changed groups' patch of the confirmed set and the
-    /// Fig. 3 refcounts, and the Table I fold and Table II pass the snapshot
-    /// needs. The full [`LiveReport`] is not built here but on the first
-    /// [`StreamAnalyzer::report`] read after the epoch.
+    /// Fig. 3 refcounts, folding the epoch's new rows into Table I, and the
+    /// Table II pass the snapshot needs. The full [`LiveReport`] is not
+    /// built here but on the first [`StreamAnalyzer::report`] read after the
+    /// epoch.
     pub reassemble_ns: u64,
 }
 
@@ -163,7 +166,7 @@ pub enum NftStatus {
     Confirmed {
         /// Confirmed activities on the NFT.
         activities: usize,
-        /// Total confirmed wash volume on the NFT.
+        /// Total confirmed wash volume on the NFT, saturating at `u128::MAX`.
         volume: Wei,
     },
 }
@@ -245,16 +248,9 @@ pub struct StreamAnalyzer<'a> {
     /// confirmed candidates (positions in its cached list, with their final
     /// methods) and the detection counters.
     leverage: LeverageIndex,
-    /// Every known key sorted by resolved identity (the
-    /// `nft_keys_sorted_by_id` order), maintained by merging each epoch's
-    /// new key range — the Table I fold's iteration order.
-    nft_id_order: Vec<NftKey>,
-    /// How many interner keys `nft_id_order` covers.
-    known_keys: usize,
-    /// Cached per-NFT marketplace leaves (priced Table I rows, each with its
-    /// dense transaction id), indexed by [`NftKey`]; dirty NFTs are
-    /// repriced, clean ones keep their leaves.
-    market_leaves: Vec<Option<NftMarketLeaves>>,
+    /// Table I, folded in row order: each epoch extends it with the rows
+    /// it appended.
+    table1: MarketVolumeFold,
     /// Maintained collection→creation-time map (Fig. 5 baseline): per-NFT
     /// first rows are immutable, so only dirty NFTs fold in.
     collection_created: HashMap<Address, Timestamp>,
@@ -332,9 +328,7 @@ impl<'a> StreamAnalyzer<'a> {
             states: Vec::new(),
             refine_agg: RefinementAggregator::default(),
             leverage: LeverageIndex::new(),
-            nft_id_order: Vec::new(),
-            known_keys: 0,
-            market_leaves: Vec::new(),
+            table1: MarketVolumeFold::default(),
             collection_created: HashMap::new(),
             legit: LegitVolumeSet::new(),
             confirmed_at: HashMap::new(),
@@ -397,59 +391,51 @@ impl<'a> StreamAnalyzer<'a> {
             .collect();
         let mut detect_trace = obs::trace::span("stream.refine_detect");
         detect_trace.attr("dirty", dirty_graphs.len() as u64);
-        let recomputed: Vec<(NftKey, NftState, NftMarketLeaves)> =
-            self.executor.map(&dirty_graphs, |graph| {
-                let mut refinement = refiner.refine_nft(graph);
-                let mut entries: Vec<(DenseCandidate, MethodSet, CandidateFacts)> =
-                    std::mem::take(&mut refinement.candidates)
-                        .into_iter()
-                        .map(|candidate| {
-                            let evidence = detector.evaluate(&candidate, Some(graph));
-                            let facts = CandidateFacts {
-                                characterize: activity_facts(
-                                    &candidate, dataset, directory, oracle, &catalogue,
-                                ),
-                                reward: reward_facts(
-                                    &candidate, chain, directory, oracle, interner,
-                                ),
-                                resale: resale_facts(
-                                    &candidate,
-                                    chain,
-                                    directory,
-                                    oracle,
-                                    Some(graph),
-                                    interner,
-                                ),
-                            };
-                            (candidate, evidence, facts)
-                        })
-                        .collect();
-                // Store candidates in batch sort-key order: the key is
-                // strictly unique, so each NFT's confirmed group comes out
-                // in the order the batch global sort gives it.
-                entries.sort_by_key(|(candidate, _, _)| candidate.sort_key(interner));
-                let mut evidence = Vec::with_capacity(entries.len());
-                let mut facts = Vec::with_capacity(entries.len());
-                for (candidate, methods, candidate_facts) in entries {
-                    refinement.candidates.push(candidate);
-                    evidence.push(methods);
-                    facts.push(candidate_facts);
-                }
-                let leaves = dataset.nft_market_leaves(graph.nft, oracle);
-                (graph.nft, NftState { refinement, evidence, facts }, leaves)
-            });
+        let recomputed: Vec<(NftKey, NftState)> = self.executor.map(&dirty_graphs, |graph| {
+            let mut refinement = refiner.refine_nft(graph);
+            let mut entries: Vec<(DenseCandidate, MethodSet, CandidateFacts)> =
+                std::mem::take(&mut refinement.candidates)
+                    .into_iter()
+                    .map(|candidate| {
+                        let evidence = detector.evaluate(&candidate, Some(graph));
+                        let facts = CandidateFacts {
+                            characterize: activity_facts(
+                                &candidate, dataset, directory, oracle, &catalogue,
+                            ),
+                            reward: reward_facts(&candidate, chain, directory, oracle, interner),
+                            resale: resale_facts(
+                                &candidate,
+                                chain,
+                                directory,
+                                oracle,
+                                Some(graph),
+                                interner,
+                            ),
+                        };
+                        (candidate, evidence, facts)
+                    })
+                    .collect();
+            // Store candidates in batch sort-key order: the key is
+            // strictly unique, so each NFT's confirmed group comes out
+            // in the order the batch global sort gives it.
+            entries.sort_by_key(|(candidate, _, _)| candidate.sort_key(interner));
+            let mut evidence = Vec::with_capacity(entries.len());
+            let mut facts = Vec::with_capacity(entries.len());
+            for (candidate, methods, candidate_facts) in entries {
+                refinement.candidates.push(candidate);
+                evidence.push(methods);
+                facts.push(candidate_facts);
+            }
+            (graph.nft, NftState { refinement, evidence, facts })
+        });
         detect_trace.finish();
         drop(dirty_graphs);
         let mut evaluate_reruns = 0u64;
-        for (nft, state, leaves) in recomputed {
+        for (nft, state) in recomputed {
             evaluate_reruns += state.evidence.len() as u64;
             if self.states.len() <= nft.index() {
                 self.states.resize_with(nft.index() + 1, || None);
             }
-            if self.market_leaves.len() <= nft.index() {
-                self.market_leaves.resize_with(nft.index() + 1, || None);
-            }
-            self.market_leaves[nft.index()] = Some(leaves);
             // Fig. 5 baseline: a dirty NFT has rows, and its first row's
             // timestamp is immutable, so the min-fold is idempotent across
             // re-dirtying.
@@ -655,7 +641,7 @@ impl<'a> StreamAnalyzer<'a> {
 
     /// Bring the confirmed set and the snapshot inputs up to date with the
     /// dirty NFTs' fresh caches, at the cost of the NFTs whose confirmed
-    /// group changed, plus the two folds bound to a fixed order.
+    /// group changed and the epoch's new rows, plus the Table II pass.
     ///
     /// The dirty NFTs' candidate groups replace their old ones in the
     /// leverage index, which re-derives their verdicts and those of the NFTs
@@ -663,10 +649,12 @@ impl<'a> StreamAnalyzer<'a> {
     /// group can change. Each re-derived group is compared with its old
     /// stretch of the dense confirmed list, and only the groups that differ
     /// patch the list and feed the Fig. 3 refcount flips — exact, because an
-    /// unchanged group adds nothing to either. The Table I fold and the
-    /// Table II pass still walk every NFT and every confirmed activity,
-    /// replaying the batch fold order so every float matches batch bit for
-    /// bit; the rest of the report waits for [`StreamAnalyzer::report`].
+    /// unchanged group adds nothing to either. Table I folds only the rows
+    /// the epoch appended: the fold runs in row order and a transaction's
+    /// rows arrive in one block, so extending it is batch's one pass split
+    /// at epoch boundaries. The Table II pass still walks every confirmed
+    /// activity in the batch fold order, so every float matches batch bit
+    /// for bit; the rest of the report waits for [`StreamAnalyzer::report`].
     /// Returns the changed groups, in ascending NFT order, which drive the
     /// caller's suspect transitions and the snapshot delta.
     fn reassemble(&mut self, last_block: BlockNumber, dirty: &[NftKey]) -> Vec<GroupChange> {
@@ -737,40 +725,11 @@ impl<'a> StreamAnalyzer<'a> {
             changes.iter().flat_map(|change| &change.previous),
             changes.iter().flat_map(|change| &self.detection.confirmed[change.current.clone()]),
         );
-        // Extend the id-sorted key order with this epoch's new keys: the
-        // interner is append-only, so they are exactly the tail range.
-        let nft_count = interner.nft_count();
-        if self.known_keys < nft_count {
-            let mut fresh: Vec<NftKey> =
-                (self.known_keys..nft_count).map(|index| NftKey(index as u32)).collect();
-            fresh.sort_by_key(|&key| interner.nft(key));
-            let mut merged = Vec::with_capacity(self.nft_id_order.len() + fresh.len());
-            let mut old = self.nft_id_order.iter().copied().peekable();
-            let mut new = fresh.into_iter().peekable();
-            while let (Some(&a), Some(&b)) = (old.peek(), new.peek()) {
-                if interner.nft(a) <= interner.nft(b) {
-                    merged.push(a);
-                    old.next();
-                } else {
-                    merged.push(b);
-                    new.next();
-                }
-            }
-            merged.extend(old);
-            merged.extend(new);
-            self.nft_id_order = merged;
-            self.known_keys = nft_count;
-        }
-        // Table I totals: the batch fold itself, over cached per-NFT leaves
-        // in the same id-sorted order (only dirty NFTs were repriced), so
-        // every dedup verdict and every f64 add matches batch bit for bit.
-        let mut fold = MarketVolumeFold::new(interner.market_count());
-        for &key in &self.nft_id_order {
-            if let Some(leaves) = self.market_leaves.get(key.index()).and_then(Option::as_ref) {
-                fold.add(key, leaves);
-            }
-        }
-        self.market_totals = market_totals(&fold.rows(directory, interner));
+        // Table I: fold only the rows this epoch appended. The fold runs in
+        // row order and never revisits a row, so this is the batch pass
+        // split at epoch boundaries, every f64 add in the same order.
+        self.table1.extend(&self.dataset.columns, oracle);
+        self.market_totals = market_totals(&self.table1.table(directory, interner));
         // Table II and the wash totals, for the snapshot: the fold
         // `characterize_from_parts` runs, over the same facts in the same
         // order.
@@ -916,7 +875,7 @@ impl<'a> StreamAnalyzer<'a> {
                     volume: confirmed
                         .iter()
                         .map(|&(at, _)| state.refinement.candidates[at].volume)
-                        .sum(),
+                        .fold(Wei::ZERO, Wei::saturating_add),
                 };
             }
             if !state.refinement.candidates.is_empty() {
@@ -1096,6 +1055,69 @@ mod tests {
         let (cleared, changes) = patch_groups(current.clone(), vec![(a, 0..5, Vec::new())]);
         assert!(cleared.is_empty());
         assert_eq!(changes, vec![change(a, &current, 0..0)]);
+    }
+
+    /// Self-trades priced at 2^127 wei each (one ERC-20 log can price a
+    /// sale at any u128): trader `a` on two NFTs, trader `b` on the first.
+    /// Every wash-volume sum over two of them saturates at `u128::MAX`,
+    /// where it used to panic in debug builds and wrap to zero in release
+    /// builds: the NFT's status, its suspect summary, `a`'s dossier and the
+    /// snapshot total.
+    #[test]
+    fn max_price_wash_volumes_saturate() {
+        use ethsim::{Chain, Log, Selector, TxRequest};
+        let start = Timestamp::from_secs(1_640_995_200);
+        let mut chain = Chain::new(start);
+        let mut tokens = tokens::TokenRegistry::new();
+        let collection = tokens.deploy_erc721(&mut chain, "huge", "Huge", true, start).unwrap();
+        let a = chain.create_eoa("a").unwrap();
+        let b = chain.create_eoa("b").unwrap();
+        chain.fund(a, Wei::from_eth(1.0));
+        chain.fund(b, Wei::from_eth(1.0));
+        let weth = Address::derived("weth");
+        let nft = |token| Log::erc721_transfer(collection, a, a, token);
+        let pay = |from| Log::erc20_transfer(weth, from, Address::derived("sink"), 1 << 127);
+        let call = Selector::of("transferFrom(address,address,uint256)");
+        let txs = [
+            (a, vec![Log::erc721_transfer(collection, Address::NULL, a, 1)]),
+            (a, vec![Log::erc721_transfer(collection, Address::NULL, a, 2)]),
+            (a, vec![nft(1), pay(a)]),
+            (a, vec![Log::erc721_transfer(collection, a, b, 1)]),
+            (b, vec![Log::erc721_transfer(collection, b, b, 1), pay(b)]),
+            (a, vec![nft(2), pay(a)]),
+        ];
+        for (from, logs) in txs {
+            let request = TxRequest::contract_call(
+                from,
+                collection,
+                call,
+                Wei::ZERO,
+                90_000,
+                Wei::from_gwei(30),
+            );
+            chain.submit(request.with_logs(logs)).unwrap();
+            chain.advance_to(chain.current_timestamp().plus_secs(13)).unwrap();
+        }
+        let labels = labels::LabelRegistry::new();
+        let directory = marketplace::MarketplaceDirectory::new();
+        let oracle = oracle::PriceOracle::paper_presets(start, 30, 1);
+        let input = AnalysisInput {
+            chain: &chain,
+            labels: &labels,
+            directory: &directory,
+            oracle: &oracle,
+        };
+        let mut live = StreamAnalyzer::new(input, StreamOptions::single_threaded());
+        live.run_to_tip(2);
+
+        let max = Wei(u128::MAX);
+        let first = NftId::new(collection, 1);
+        assert_eq!(live.status(first), NftStatus::Confirmed { activities: 2, volume: max });
+        let snapshot = live.snapshot();
+        assert_eq!(snapshot.suspect(first).map(|summary| summary.volume), Some(max));
+        assert_eq!(snapshot.dossier(a).map(|dossier| dossier.wash_volume), Some(max));
+        assert_eq!(snapshot.stats().wash_volume, max);
+        assert_eq!(snapshot, live.rebuild_full_snapshot());
     }
 
     /// `confirmed_at` holds exactly the confirmed NFTs, each dated by the

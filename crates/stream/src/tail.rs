@@ -18,10 +18,10 @@
 //! Everything here is keyed by dense [`TxId`]: the reference counts are a
 //! `Vec` indexed by it, and a transaction's rows are the contiguous range
 //! [`TransferColumns::tx_rows`] answers, so no transaction hash is hashed.
-//! (The streamed Table I fold needs no state of its own: the analyzer
-//! caches each NFT's [`NftMarketLeaves`](washtrade::dataset::NftMarketLeaves)
-//! and folds them with the batch
-//! [`MarketVolumeFold`](washtrade::dataset::MarketVolumeFold).)
+//! (Table I needs nothing from this module: the analyzer keeps batch's
+//! row-order [`MarketVolumeFold`](washtrade::dataset::MarketVolumeFold) and
+//! extends it with each epoch's new rows. The Fig. 3 baseline cannot work
+//! that way, because a row's wash status changes with the confirmed set.)
 //!
 //! Bit-identity argument: `Cdf::new` sorts its samples by `total_cmp`, a
 //! total order under which equal elements are identical bit patterns, so the
