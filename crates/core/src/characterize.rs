@@ -157,11 +157,14 @@ pub fn component_shape(candidate: &DenseCandidate) -> Vec<(usize, usize)> {
 /// append-only) transfer history, so the streaming analyzer caches them per
 /// candidate and recomputes them only when the NFT's graph changes; the
 /// final reduce ([`characterize_from_parts`]) then replays the batch fold
-/// over cached leaves — same values, same order, bit-identical floats.
+/// over cached leaves — same values, same order, bit-identical floats. The
+/// cached facts are also the only source of a published snapshot record's
+/// USD volume, marketplace and pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityFacts {
-    /// Resolved dominant-marketplace name (`"Off-market"` when none).
-    pub market_name: String,
+    /// Name of the marketplace carrying most of the volume; `None` for
+    /// off-market activity.
+    pub marketplace: Option<String>,
     /// USD value of the internal edges, folded in edge order.
     pub volume_usd: f64,
     /// ETH volume of the candidate.
@@ -177,6 +180,14 @@ pub struct ActivityFacts {
     /// Days between acquisition and the first wash trade; `None` when no
     /// acquiring transfer precedes the activity.
     pub acquisition_days: Option<u64>,
+}
+
+impl ActivityFacts {
+    /// The activity's Table II row key: its marketplace's name, or
+    /// `"Off-market"` when no marketplace carried it.
+    pub fn market_name(&self) -> &str {
+        self.marketplace.as_deref().unwrap_or("Off-market")
+    }
 }
 
 /// USD value of a candidate's internal edges, folded in edge order — the one
@@ -201,11 +212,10 @@ pub fn activity_facts(
 ) -> ActivityFacts {
     let interner = &dataset.interner;
     let columns = &dataset.columns;
-    let market_name = candidate
+    let marketplace = candidate
         .dominant_marketplace(interner)
         .and_then(|id| directory.by_contract(interner.market(id)))
-        .map(|info| info.name.clone())
-        .unwrap_or_else(|| "Off-market".to_string());
+        .map(|info| info.name.clone());
 
     // Acquisition lead time: last transfer into the component from outside
     // (or the mint) before the first internal trade. Component membership is
@@ -228,7 +238,7 @@ pub fn activity_facts(
     let pattern = catalogue.classify(accounts.len(), &shape).map(|PatternId(id)| id);
 
     ActivityFacts {
-        market_name,
+        marketplace,
         volume_usd: activity_usd_volume(candidate, oracle),
         volume_eth: candidate.volume.to_eth(),
         lifetime_days: candidate.lifetime_days() as f64,
@@ -411,7 +421,7 @@ pub fn marketplace_wash(
         total_volume_usd += facts.volume_usd;
         total_volume_eth += facts.volume_eth;
         let accumulator =
-            per_market.entry(facts.market_name.as_str()).or_insert_with(|| MarketAccumulator {
+            per_market.entry(facts.market_name()).or_insert_with(|| MarketAccumulator {
                 nfts: BitSet::new(),
                 activities: 0,
                 volume_eth: 0.0,
@@ -467,7 +477,7 @@ pub fn characterize_from_parts(
     // bit.
     let mut activity_volumes_usd: HashMap<&str, Vec<f64>> = HashMap::new();
     for facts in facts {
-        activity_volumes_usd.entry(facts.market_name.as_str()).or_default().push(facts.volume_usd);
+        activity_volumes_usd.entry(facts.market_name()).or_default().push(facts.volume_usd);
     }
     let mut volume_cdfs: HashMap<String, Cdf> = activity_volumes_usd
         .into_iter()

@@ -290,4 +290,126 @@ mod tests {
         log.data.truncate(10);
         assert_eq!(log.decode_erc20_transfer(), None);
     }
+
+    /// Whether `word` left-pads a value of at most `width` bytes.
+    fn fits(word: &[u8], width: usize) -> bool {
+        word[..word.len() - width].iter().all(|&byte| byte == 0)
+    }
+
+    /// The ERC-721 encoder's image, read off the bytes: four topics under
+    /// the transfer topic, two address words and a `u64` token id word
+    /// (`data` is not part of the shape).
+    fn canonical_erc721(log: &Log) -> bool {
+        log.topics.len() == 4
+            && log.topics[0] == transfer_topic()
+            && fits(&log.topics[1].0, 20)
+            && fits(&log.topics[2].0, 20)
+            && fits(&log.topics[3].0, 8)
+    }
+
+    /// The ERC-20 encoder's image: three topics under the transfer topic,
+    /// two address words, and one `u128` amount word as the whole data.
+    fn canonical_erc20(log: &Log) -> bool {
+        log.topics.len() == 3
+            && log.topics[0] == transfer_topic()
+            && fits(&log.topics[1].0, 20)
+            && fits(&log.topics[2].0, 20)
+            && log.data.len() == 32
+            && fits(&log.data, 16)
+    }
+
+    proptest::proptest! {
+        // Valid ERC-721 and ERC-20 transfer logs, each with one mutation:
+        // 0–6 topics, a non-zero byte in an address topic's padding, a
+        // token id ≥ 2⁶⁴ (ERC-721) or an amount word ≥ 2¹²⁸ (ERC-20), or
+        // 0–96 data bytes. Some mutations land on a valid log (the original
+        // topic count, 32 data bytes, a fourth topic shaped like a token
+        // id). Neither decoder panics, and each decodes exactly the logs in
+        // its encoder's image: whatever it decodes re-encodes to the log
+        // (the topics for ERC-721, whose decoder ignores `data`; the whole
+        // log for ERC-20), and every other log decodes to `None`.
+        #[test]
+        fn mutated_transfer_logs_decode_only_when_they_re_encode(
+            (topics, data_len) in (0usize..7, 0usize..97),
+            (padded_topic, at) in (1usize..3, 0usize..24),
+            (byte, token) in (1u16..256, 0u64..u64::MAX),
+            (high, low) in (0u64..u64::MAX, 0u64..u64::MAX),
+            noise in proptest::collection::vec(0u16..256, 192..193),
+        ) {
+            let noise: Vec<u8> = noise.into_iter().map(|byte| byte as u8).collect();
+            let byte = byte as u8;
+            let address = |offset: usize| {
+                let mut bytes = [0u8; 20];
+                bytes.copy_from_slice(&noise[offset..offset + 20]);
+                Address(bytes)
+            };
+            let (contract, from, to) = (address(0), address(20), address(40));
+            let amount = (u128::from(high) << 64) | u128::from(low);
+            for erc20 in [false, true] {
+                for mutation in 0..4 {
+                    let mut log = if erc20 {
+                        Log::erc20_transfer(contract, from, to, amount)
+                    } else {
+                        Log::erc721_transfer(contract, from, to, token)
+                    };
+                    match mutation {
+                        0 => {
+                            log.topics.truncate(topics);
+                            // Extra topics are noise words, every other one
+                            // shaped like a token id.
+                            while log.topics.len() < topics {
+                                let slot = log.topics.len();
+                                let mut word = [0u8; 32];
+                                word.copy_from_slice(&noise[60 + 32 * (slot - 3)..][..32]);
+                                if slot % 2 == 1 {
+                                    word[..24].fill(0);
+                                }
+                                log.topics.push(B256(word));
+                            }
+                        }
+                        1 => log.topics[padded_topic].0[at % 12] = byte,
+                        2 if erc20 => log.data[at % 16] = byte,
+                        2 => log.topics[3].0[at] = byte,
+                        _ => {
+                            log.data.truncate(data_len);
+                            let kept = log.data.len();
+                            log.data.extend_from_slice(&noise[96..96 + data_len - kept]);
+                        }
+                    }
+
+                    let erc721_decoded = log.decode_erc721_transfer();
+                    let erc20_decoded = log.decode_erc20_transfer();
+                    proptest::prop_assert_eq!(
+                        erc721_decoded.is_some(),
+                        canonical_erc721(&log),
+                        "{log:?}"
+                    );
+                    proptest::prop_assert_eq!(
+                        erc20_decoded.is_some(),
+                        canonical_erc20(&log),
+                        "{log:?}"
+                    );
+                    if let Some(transfer) = erc721_decoded {
+                        let encoded = Log::erc721_transfer(
+                            transfer.contract,
+                            transfer.from,
+                            transfer.to,
+                            transfer.token_id,
+                        );
+                        proptest::prop_assert_eq!(encoded.address, log.address);
+                        proptest::prop_assert_eq!(&encoded.topics, &log.topics);
+                    }
+                    if let Some(transfer) = erc20_decoded {
+                        let encoded = Log::erc20_transfer(
+                            transfer.contract,
+                            transfer.from,
+                            transfer.to,
+                            transfer.amount,
+                        );
+                        proptest::prop_assert_eq!(&encoded, &log);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -52,14 +52,6 @@ impl Address {
         Address(bytes)
     }
 
-    /// Derive an address from arbitrary bytes (e.g. deployer ++ nonce).
-    pub fn derived_from_bytes(seed: &[u8]) -> Self {
-        let digest = keccak256(seed);
-        let mut bytes = [0u8; 20];
-        bytes.copy_from_slice(&digest[12..32]);
-        Address(bytes)
-    }
-
     /// Whether this is the null address.
     pub fn is_null(&self) -> bool {
         self.0 == [0u8; 20]

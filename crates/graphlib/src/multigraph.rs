@@ -319,11 +319,6 @@ impl<N: Eq + Hash + Clone, E> DiMultiGraph<N, E> {
             .map(|((&source, &target), weight)| EdgeRef { source, target, weight })
     }
 
-    /// Iterate over `(edge index, edge)` pairs.
-    pub fn edge_references(&self) -> impl Iterator<Item = (EdgeIndex, EdgeRef<'_, E>)> {
-        self.edges().enumerate()
-    }
-
     /// Outgoing edge indices from a node, as a contiguous CSR slice in
     /// insertion order.
     pub fn outgoing_edges(&self, node: NodeIndex) -> &[EdgeIndex] {

@@ -366,11 +366,6 @@ impl Marketplace {
     pub fn sale_count(&self) -> u64 {
         self.sale_count
     }
-
-    /// The total volume recorded on a given day.
-    pub fn day_volume(&self, day: u64) -> Wei {
-        self.daily.get(&day).map(|v| v.total).unwrap_or(Wei::ZERO)
-    }
 }
 
 #[cfg(test)]

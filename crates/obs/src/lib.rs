@@ -119,7 +119,7 @@ macro_rules! gauge {
 }
 
 /// Record one sample into a statically named histogram:
-/// `histogram!("serve.snapshot.build_ns", elapsed_ns)`.
+/// `histogram!("stream.epoch_ns", wall_time_ns)`.
 #[macro_export]
 macro_rules! histogram {
     ($name:literal, $v:expr) => {{

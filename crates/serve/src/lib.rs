@@ -49,5 +49,5 @@ pub use publish::{RetentionPolicy, SnapshotPublisher};
 pub use query::{Query, QueryService, Response, Served, TrendPoint};
 pub use snapshot::{
     AccountDossier, ActivityRecord, CollectionRollup, NftSummary, Snapshot, SnapshotBuildStats,
-    SnapshotMeta, SnapshotStats, WashVolumes,
+    SnapshotMeta, SnapshotStats,
 };

@@ -281,10 +281,10 @@ mod tests {
         Snapshot::from_dense(
             SnapshotMeta { epoch, watermark: BlockNumber(epoch) },
             &[],
+            |_| std::iter::empty(),
             &washtrade::dataset::Dataset::default(),
-            &marketplace::MarketplaceDirectory::new(),
-            &oracle::PriceOracle::default(),
             &HashMap::new(),
+            &washtrade::characterize::MarketplaceWash::default(),
         )
     }
 

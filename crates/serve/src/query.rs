@@ -69,26 +69,6 @@ pub enum Query {
 }
 
 impl Query {
-    /// Stable lowercase variant name, used as the metric-name suffix of the
-    /// per-variant latency histograms (`serve.query.<variant>_ns`).
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            Query::Stats => "stats",
-            Query::Nft(_) => "nft",
-            Query::SuspectsSince(_) => "suspects_since",
-            Query::SuspectsBetween(_, _) => "suspects_between",
-            Query::TopMovers(_) => "top_movers",
-            Query::Account(_) => "account",
-            Query::TopCollections(_) => "top_collections",
-            Query::Marketplaces => "marketplaces",
-            Query::AsOf(_, _) => "as_of",
-            Query::SuspectDiff { .. } => "suspect_diff",
-            Query::WashVolumeTrend => "wash_volume_trend",
-            Query::Metrics => "metrics",
-            Query::Health => "health",
-        }
-    }
-
     /// Whether this query addresses fixed historical epochs, making its
     /// answer immutable once computed. Historical cache entries are exempt
     /// from epoch invalidation (they can never go stale) and are reclaimed

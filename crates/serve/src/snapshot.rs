@@ -4,10 +4,14 @@
 //! A snapshot is built once per epoch — from the streaming analyzer's dense
 //! layers ([`Snapshot::from_dense`]), **delta-encoded against the previous
 //! epoch** ([`Snapshot::delta_from_dense`]), or from a finished batch report
-//! ([`Snapshot::from_report`]) — and then only ever read. Addresses and NFT
-//! identities are resolved **once, at build time** (the serving boundary's
-//! twin of the pipeline's intern-once/resolve-once rule); queries are index
-//! lookups, never scans over analysis state:
+//! ([`Snapshot::from_report`]) — and then only ever read. The dense builders
+//! price nothing: each activity's USD volume, marketplace and Fig. 7 pattern
+//! come from the [`ActivityFacts`] the analyzer cached when the activity's
+//! NFT last went dirty, and Table II with the wash totals comes in as the
+//! epoch's [`MarketplaceWash`]. Addresses and NFT identities are resolved
+//! **once, at build time** (the serving boundary's twin of the pipeline's
+//! intern-once/resolve-once rule); queries are index lookups, never scans
+//! over analysis state:
 //!
 //! * account → suspect activities as a [`Postings`] list over the sorted
 //!   involved-account table,
@@ -26,13 +30,13 @@
 //! block-sorted suspect log is a [`SegmentedVec`] too. A delta build walks
 //! the new confirmed set against the previous snapshot: every NFT whose
 //! dense activities are unchanged reuses the previous epoch's resolved
-//! segment by `Arc` clone — no oracle pricing, no pattern classification,
-//! no address resolution — and only the changed NFTs are re-resolved. The
-//! cheap integer/float index assembly then runs over the (mostly shared)
-//! record sequence through the exact same code path as a full build, so a
-//! delta-built snapshot is **bit-identical** to the full rebuild at the same
-//! epoch (the AsOf-parity gate pins this). When nothing changed, every index
-//! is reused wholesale and publishing costs O(1).
+//! segment by `Arc` clone, and only the changed NFTs get fresh records, for
+//! which they pay address resolution alone. The cheap integer/float index
+//! assembly then runs over the (mostly shared) record sequence through the
+//! exact same code path as a full build, so a delta-built snapshot is
+//! **bit-identical** to the full rebuild at the same epoch (the AsOf-parity
+//! gate pins this). When nothing changed, every index is reused wholesale
+//! and publishing costs O(1).
 //!
 //! The struct is a cheap handle: all data lives behind one `Arc`, so cloning
 //! a snapshot is a reference-count bump and a clone can cross threads freely
@@ -47,13 +51,13 @@ use std::time::Instant;
 
 use ethsim::{Address, BlockNumber, Timestamp, Wei};
 use graphlib::{PatternCatalogue, PatternId};
-use ids::{NftKey, Postings};
+use ids::{Interner, NftKey, Postings};
 use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 use tokens::NftId;
-use washtrade::characterize::{component_shape, MarketplaceWashRow};
-use washtrade::dataset::{Dataset, MarketplaceVolume};
+use washtrade::characterize::{ActivityFacts, MarketplaceWash, MarketplaceWashRow};
+use washtrade::dataset::Dataset;
 use washtrade::detect::{DenseActivity, MethodSet};
 use washtrade::pipeline::AnalysisReport;
 
@@ -208,20 +212,6 @@ impl SnapshotBuildStats {
     }
 }
 
-/// Wash-volume float totals forwarded from an already-computed
-/// characterization. Both are flat folds over the confirmed records in their
-/// stored order — exactly the fold [`Snapshot`] would run itself — so
-/// forwarding them skips an O(records) walk over (mostly cold, shared)
-/// record memory per publish without changing a single bit; the parity suite
-/// pins the equality.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WashVolumes {
-    /// Total wash-traded volume in ETH.
-    pub eth: f64,
-    /// Total wash-traded volume in USD at trade time.
-    pub usd: f64,
-}
-
 /// Dataset-level counters a snapshot reports; extracted from the dataset
 /// (stream path) or the report (batch path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -315,88 +305,71 @@ impl Snapshot {
             SnapshotMeta::default(),
             DatasetTotals::default(),
             Vec::new(),
-            Vec::new(),
+            &MarketplaceWash::default(),
             &HashMap::new(),
         )
     }
 
     /// Build a snapshot from the streaming analyzer's dense layers: the
-    /// confirmed activities still in dense-id form, the growing dataset
-    /// (interner + columns + compliance verdicts), and the per-NFT
-    /// confirmation blocks. Every id is resolved here, exactly once.
-    pub fn from_dense(
+    /// confirmed activities still in dense-id form (each NFT's group
+    /// contiguous), each group's cached [`ActivityFacts`], the growing
+    /// dataset (interner + compliance counters), the per-NFT confirmation
+    /// blocks and the epoch's Table II pass. `facts_of(key)` yields the
+    /// facts of `key`'s confirmed group in confirmed order. Every id is
+    /// resolved here, exactly once; nothing is priced.
+    pub fn from_dense<'f, I>(
         meta: SnapshotMeta,
         confirmed: &[DenseActivity],
+        facts_of: impl Fn(NftKey) -> I,
         dataset: &Dataset,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
         confirmed_at: &HashMap<NftId, BlockNumber>,
-    ) -> Snapshot {
-        let records =
-            Snapshot::dense_records(confirmed, dataset, directory, oracle, paper_catalogue());
-        let table1 = dataset.marketplace_volumes(directory, oracle);
-        let marketplaces = rollup_marketplaces(&records, &table1);
-        Snapshot::assemble(meta, dataset_totals(dataset), records, marketplaces, confirmed_at)
-    }
-
-    /// [`Snapshot::from_dense`] with the per-marketplace rollup rows passed
-    /// in instead of recomputed. The streaming analyzer publishes through
-    /// this seam: its `Characterization::per_marketplace` rows are
-    /// bit-identical to what [`Snapshot::from_dense`] would derive (the
-    /// parity suite pins that), and reusing them avoids a second
-    /// O(all-transfers) `marketplace_volumes` scan per epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_dense_with_marketplaces(
-        meta: SnapshotMeta,
-        confirmed: &[DenseActivity],
-        dataset: &Dataset,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
-        confirmed_at: &HashMap<NftId, BlockNumber>,
-        marketplaces: Vec<MarketplaceWashRow>,
-        wash_volumes: Option<WashVolumes>,
-    ) -> Snapshot {
-        let records =
-            Snapshot::dense_records(confirmed, dataset, directory, oracle, paper_catalogue());
-        Snapshot::assemble_with_volumes(
-            meta,
-            dataset_totals(dataset),
-            records,
-            marketplaces,
-            confirmed_at,
-            wash_volumes,
-        )
+        wash: &MarketplaceWash,
+    ) -> Snapshot
+    where
+        I: IntoIterator<Item = &'f ActivityFacts>,
+    {
+        let interner = &dataset.interner;
+        let records = confirmed
+            .chunk_by(|a, b| a.candidate.nft == b.candidate.nft)
+            .flat_map(|group| {
+                Snapshot::dense_records(group, facts_of(group[0].candidate.nft), interner)
+            })
+            .collect();
+        Snapshot::assemble(meta, dataset_totals(dataset), records, wash, confirmed_at)
     }
 
     /// Delta-encode the epoch-N+1 snapshot against epoch N: every NFT *not*
     /// in `changed` reuses `previous`'s resolved activity segment by `Arc`
-    /// clone, and only changed NFTs pay the per-activity resolution (USD
-    /// pricing, dominant venue, pattern classification, address resolution).
-    /// When `changed` is empty, every index is shared wholesale and only the
-    /// stats line is re-stamped — O(1) in the world size.
+    /// clone, and only changed NFTs get fresh records. Those take their USD
+    /// volume, venue and pattern from `facts_of` (as in
+    /// [`Snapshot::from_dense`], called only for changed groups), so a
+    /// changed NFT pays for address resolution alone and the publish prices
+    /// nothing. When `changed` is empty, every index is shared wholesale and
+    /// only the stats line is re-stamped — O(1) in the world size.
     ///
-    /// `changed` must contain every NFT whose confirmed dense activities
-    /// differ from the state `previous` was built from (the streaming
-    /// analyzer derives it by diffing consecutive dense confirmed sets, so
-    /// leverage-induced confirmation flips on untouched graphs are caught).
-    /// An NFT conservatively listed as changed is merely re-resolved; the
+    /// The caller's contract: every NFT whose confirmed group differs from
+    /// the state `previous` was built from must be in `changed` (the
+    /// streaming analyzer collects the groups its reassembly patched, so
+    /// leverage-induced confirmation flips on untouched graphs are
+    /// included). An unlisted NFT reuses its previous segment unseen. An NFT
+    /// conservatively listed as changed merely gets fresh records; the
     /// result is **bit-identical** to the full rebuild either way, which the
     /// AsOf-parity gate enforces.
     #[allow(clippy::too_many_arguments)]
-    pub fn delta_from_dense(
+    pub fn delta_from_dense<'f, I>(
         previous: &Snapshot,
         meta: SnapshotMeta,
         confirmed: &[DenseActivity],
+        facts_of: impl Fn(NftKey) -> I,
         dataset: &Dataset,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
         confirmed_at: &HashMap<NftId, BlockNumber>,
-        marketplaces: Vec<MarketplaceWashRow>,
         changed: &BTreeSet<NftId>,
-        wash_volumes: Option<WashVolumes>,
-    ) -> Snapshot {
+        wash: &MarketplaceWash,
+    ) -> Snapshot
+    where
+        I: IntoIterator<Item = &'f ActivityFacts>,
+    {
         let started = Instant::now();
-        let _build_span = obs::span!("serve.snapshot.delta_build_ns");
         let totals = dataset_totals(dataset);
         let prev = &previous.inner;
 
@@ -422,6 +395,8 @@ impl Snapshot {
                         raw_transfer_events: totals.raw_transfer_events,
                         compliant_contracts: totals.compliant_contracts,
                         non_compliant_contracts: totals.non_compliant_contracts,
+                        wash_volume_eth: wash.total_volume_eth,
+                        wash_volume_usd: wash.total_volume_usd,
                         ..prev.stats
                     },
                     activities: prev.activities.clone(),
@@ -432,7 +407,7 @@ impl Snapshot {
                     ranking: Arc::clone(&prev.ranking),
                     collections: Arc::clone(&prev.collections),
                     segment_keys: Arc::clone(&prev.segment_keys),
-                    marketplaces: Arc::new(marketplaces),
+                    marketplaces: Arc::new(wash.rows.clone()),
                     build,
                 }),
             };
@@ -441,7 +416,6 @@ impl Snapshot {
         // Merge-walk the new confirmed groups (ascending resolved NFT, the
         // confirmed sort order) against the previous epoch's segments.
         let interner = &dataset.interner;
-        let catalogue = paper_catalogue();
         // The changed set, translated to dense keys once: the per-group
         // membership test becomes a binary search over a few dozen integers
         // instead of a tree walk comparing full NFT ids.
@@ -509,9 +483,10 @@ impl Snapshot {
             if let Some((at, length)) = reusable {
                 // An unchanged NFT's group must be exactly as long as its
                 // previous segment; groups are contiguous, so two boundary
-                // probes verify that without scanning the group. A wrong
-                // `changed` set fails the probes and degrades to
-                // re-resolution, never to a corrupt snapshot.
+                // probes check that without scanning the group. A group
+                // whose length moved gets fresh records. The probes see
+                // nothing else: a group that changed but kept its length
+                // is caught only by the caller listing it in `changed`.
                 let end = index + length;
                 let covers = end <= confirmed.len()
                     && confirmed[end - 1].candidate.nft == key
@@ -532,10 +507,8 @@ impl Snapshot {
             }
             activities.push_segment(Arc::new(Snapshot::dense_records(
                 &confirmed[index..end],
-                dataset,
-                directory,
-                oracle,
-                catalogue,
+                facts_of(key),
+                interner,
             )));
             reused_from.push(None);
             index = end;
@@ -546,11 +519,10 @@ impl Snapshot {
             meta,
             totals,
             activities,
-            marketplaces,
+            wash,
             confirmed_at,
             Some(&base),
             segment_keys,
-            wash_volumes,
         );
         let inner = Arc::get_mut(&mut snapshot.inner).expect("freshly built snapshot is unshared");
         inner.build = SnapshotBuildStats {
@@ -565,47 +537,35 @@ impl Snapshot {
         snapshot
     }
 
-    /// Resolve dense confirmed activities into serving records — the one
-    /// place stream-side ids become addresses.
-    fn dense_records(
-        confirmed: &[DenseActivity],
-        dataset: &Dataset,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
-        catalogue: &PatternCatalogue,
+    /// Resolve one NFT's dense confirmed group into serving records — the
+    /// one place stream-side ids become addresses. The USD volume, venue and
+    /// pattern are copied from the group's cached `facts`, one per activity
+    /// in order.
+    fn dense_records<'f>(
+        group: &[DenseActivity],
+        facts: impl IntoIterator<Item = &'f ActivityFacts>,
+        interner: &Interner,
     ) -> Vec<ActivityRecord> {
-        let interner = &dataset.interner;
-        let records: Vec<ActivityRecord> = confirmed
+        let mut facts = facts.into_iter();
+        let records = group
             .iter()
             .map(|activity| {
+                let facts = facts.next().expect("one facts record per activity");
                 let candidate = &activity.candidate;
-                let volume_usd = candidate
-                    .internal_edges
-                    .iter()
-                    .map(|(_, _, edge)| {
-                        oracle.wei_to_usd(edge.price, edge.timestamp).unwrap_or(0.0)
-                    })
-                    .sum();
-                let marketplace = candidate
-                    .dominant_marketplace(interner)
-                    .and_then(|id| directory.by_contract(interner.market(id)))
-                    .map(|info| info.name.clone());
-                let shape = component_shape(candidate);
                 ActivityRecord {
                     nft: interner.nft(candidate.nft),
                     accounts: candidate.accounts.iter().map(|&id| interner.address(id)).collect(),
                     volume: candidate.volume,
-                    volume_usd,
-                    marketplace,
-                    pattern: catalogue
-                        .classify(candidate.accounts.len(), &shape)
-                        .map(|PatternId(id)| id),
+                    volume_usd: facts.volume_usd,
+                    marketplace: facts.marketplace.clone(),
+                    pattern: facts.pattern,
                     first_trade: candidate.first_trade,
                     last_trade: candidate.last_trade,
                     methods: activity.methods,
                 }
             })
             .collect();
+        assert!(facts.next().is_none(), "one facts record per activity");
         records
     }
 
@@ -613,14 +573,17 @@ impl Snapshot {
     /// serving layer without a live analyzer. Confirmation blocks are not
     /// part of a batch report, so every suspect is dated to the last covered
     /// block (`meta.watermark - 1`); everything else is identical to the
-    /// snapshot a stream publishes after ingesting the same chain.
+    /// snapshot a stream publishes after ingesting the same chain. Each
+    /// record is priced, attributed and classified here from the resolved
+    /// report, independently of the stream's cached facts, which is what
+    /// lets the parity suite hold the two against each other.
     pub fn from_report(
         report: &AnalysisReport,
         directory: &MarketplaceDirectory,
         oracle: &PriceOracle,
         meta: SnapshotMeta,
     ) -> Snapshot {
-        let catalogue = paper_catalogue();
+        let catalogue = PatternCatalogue::paper();
         let records: Vec<ActivityRecord> = report
             .detection
             .confirmed
@@ -660,11 +623,14 @@ impl Snapshot {
             compliant_contracts: report.compliant_contracts,
             non_compliant_contracts: report.non_compliant_contracts,
         };
-        // The report's Table II rows are exactly the rollup this snapshot
-        // would derive from `records` and `report.table1` (the parity suite
-        // pins the equality) — reuse them instead of recomputing.
-        let marketplaces = report.characterization.per_marketplace.clone();
-        Snapshot::assemble(meta, totals, records, marketplaces, &HashMap::new())
+        // Table II and the wash totals are the report's own characterization.
+        let characterization = &report.characterization;
+        let wash = MarketplaceWash {
+            rows: characterization.per_marketplace.clone(),
+            total_volume_usd: characterization.total_volume_usd,
+            total_volume_eth: characterization.total_volume_eth,
+        };
+        Snapshot::assemble(meta, totals, records, &wash, &HashMap::new())
     }
 
     /// Full (non-delta) assembly: segment the resolved records at NFT
@@ -673,25 +639,10 @@ impl Snapshot {
         meta: SnapshotMeta,
         totals: DatasetTotals,
         records: Vec<ActivityRecord>,
-        marketplaces: Vec<MarketplaceWashRow>,
+        wash: &MarketplaceWash,
         confirmed_at: &HashMap<NftId, BlockNumber>,
-    ) -> Snapshot {
-        Snapshot::assemble_with_volumes(meta, totals, records, marketplaces, confirmed_at, None)
-    }
-
-    /// [`Snapshot::assemble`] with the float wash-volume totals optionally
-    /// forwarded from an already-computed characterization instead of
-    /// re-folded over every record.
-    fn assemble_with_volumes(
-        meta: SnapshotMeta,
-        totals: DatasetTotals,
-        records: Vec<ActivityRecord>,
-        marketplaces: Vec<MarketplaceWashRow>,
-        confirmed_at: &HashMap<NftId, BlockNumber>,
-        wash_volumes: Option<WashVolumes>,
     ) -> Snapshot {
         let started = Instant::now();
-        let _build_span = obs::span!("serve.snapshot.build_ns");
         // Canonicalize to ascending-NFT order (stable, so intra-NFT order is
         // kept). Pipeline outputs already arrive sorted — the sort is a
         // no-op there — but every index below, and delta builds on top of
@@ -703,11 +654,10 @@ impl Snapshot {
             meta,
             totals,
             activities,
-            marketplaces,
+            wash,
             confirmed_at,
             None,
             Vec::new(),
-            wash_volumes,
         );
         let inner = Arc::get_mut(&mut snapshot.inner).expect("freshly built snapshot is unshared");
         inner.build = SnapshotBuildStats {
@@ -722,24 +672,22 @@ impl Snapshot {
     }
 
     /// Assemble every index from the (possibly shared) resolved activity
-    /// store and pre-computed marketplace rollup rows. `confirmed_at` dates
-    /// each suspect NFT; missing entries fall back to the last covered
-    /// block. All floating-point accumulation walks the records in their
-    /// given (deterministic, confirmed) order, so full- and delta-built
-    /// snapshots of the same state are bit-identical. With `delta`, the
-    /// derived indexes are patched from the previous epoch's — dropped
-    /// and re-merged around the changed NFTs — instead of rebuilt, so
-    /// index-assembly cost follows the epoch delta, not the world size.
-    #[allow(clippy::too_many_arguments)]
+    /// store; Table II and the float wash totals are `wash`'s. `confirmed_at`
+    /// dates each suspect NFT; missing entries fall back to the last covered
+    /// block. The collection rollups fold the records in their given
+    /// (deterministic, confirmed) order, so full- and delta-built snapshots
+    /// of the same state are bit-identical. With `delta`, the derived
+    /// indexes are patched from the previous epoch's — dropped and re-merged
+    /// around the changed NFTs — instead of rebuilt, so index-assembly cost
+    /// follows the epoch delta, not the world size.
     fn assemble_indexes(
         meta: SnapshotMeta,
         totals: DatasetTotals,
         activities: SegmentedVec<ActivityRecord>,
-        marketplaces: Vec<MarketplaceWashRow>,
+        wash: &MarketplaceWash,
         confirmed_at: &HashMap<NftId, BlockNumber>,
         delta: Option<&DeltaBase<'_>>,
         segment_keys: Vec<NftKey>,
-        wash_volumes: Option<WashVolumes>,
     ) -> Snapshot {
         let tip = BlockNumber(meta.watermark.0.saturating_sub(1));
 
@@ -858,31 +806,14 @@ impl Snapshot {
             }
         };
 
-        // Totals. The Wei total is exact integer arithmetic saturating at
+        // The Wei total is exact integer arithmetic saturating at
         // `u128::MAX`, so summing the per-segment subtotals already sitting
         // in the (contiguous) suspect table equals the flat record fold bit
-        // for bit. The float totals
-        // are order-sensitive: use the forwarded characterization fold when
-        // the caller has one (same sequence, same order, same bits — pinned
-        // by the parity suite), and run the flat record fold otherwise.
+        // for bit. The float totals are `wash`'s.
         let mut wash_volume = Wei::ZERO;
         for summary in &suspects {
             wash_volume = wash_volume.saturating_add(summary.volume);
         }
-        let (wash_volume_eth, wash_volume_usd) = match wash_volumes {
-            Some(volumes) => (volumes.eth, volumes.usd),
-            None => {
-                let mut eth = 0.0;
-                let mut usd = 0.0;
-                for segment in activities.segments() {
-                    for record in segment.iter() {
-                        eth += record.volume.to_eth();
-                        usd += record.volume_usd;
-                    }
-                }
-                (eth, usd)
-            }
-        };
         let stats = SnapshotStats {
             epoch: meta.epoch,
             watermark: meta.watermark,
@@ -895,8 +826,8 @@ impl Snapshot {
             suspect_nfts: suspects.len(),
             involved_accounts: accounts.len(),
             wash_volume,
-            wash_volume_eth,
-            wash_volume_usd,
+            wash_volume_eth: wash.total_volume_eth,
+            wash_volume_usd: wash.total_volume_usd,
         };
 
         Snapshot {
@@ -910,7 +841,7 @@ impl Snapshot {
                 ranking: Arc::new(ranking),
                 collections: Arc::new(collections),
                 segment_keys: Arc::new(segment_keys),
-                marketplaces: Arc::new(marketplaces),
+                marketplaces: Arc::new(wash.rows.clone()),
                 build: SnapshotBuildStats::default(),
             }),
         }
@@ -1032,14 +963,6 @@ impl Snapshot {
     pub fn marketplaces(&self) -> &[MarketplaceWashRow] {
         &self.inner.marketplaces
     }
-}
-
-/// The Fig. 7 pattern catalogue, built once per process: it is a fixed
-/// paper constant, and constructing it (12 canonicalized digraphs) is
-/// measurable against a delta publish's budget.
-fn paper_catalogue() -> &'static PatternCatalogue {
-    static CATALOGUE: std::sync::OnceLock<PatternCatalogue> = std::sync::OnceLock::new();
-    CATALOGUE.get_or_init(PatternCatalogue::paper)
 }
 
 /// Wall-clock nanoseconds since `started`, saturating.
@@ -1529,65 +1452,12 @@ fn dataset_totals(dataset: &Dataset) -> DatasetTotals {
     }
 }
 
-/// Derive the per-marketplace rollup rows from activity records plus the
-/// Table I venue totals, mirroring the §V Table II computation exactly
-/// (same grouping, accumulation order, share semantics and sort) — so the
-/// derived rows equal `Characterization::per_marketplace` bit for bit, and
-/// callers that already hold those rows may pass them instead
-/// ([`Snapshot::from_dense_with_marketplaces`]).
-fn rollup_marketplaces(
-    records: &[ActivityRecord],
-    table1: &[MarketplaceVolume],
-) -> Vec<MarketplaceWashRow> {
-    let market_totals: HashMap<&str, f64> =
-        table1.iter().map(|row| (row.name.as_str(), row.volume_usd)).collect();
-    struct MarketAccumulator {
-        nfts: std::collections::BTreeSet<NftId>,
-        activities: usize,
-        volume_eth: f64,
-        volume_usd: f64,
-    }
-    let mut per_market: HashMap<String, MarketAccumulator> = HashMap::new();
-    for record in records {
-        let name = record.marketplace.clone().unwrap_or_else(|| "Off-market".to_string());
-        let accumulator = per_market.entry(name).or_insert(MarketAccumulator {
-            nfts: std::collections::BTreeSet::new(),
-            activities: 0,
-            volume_eth: 0.0,
-            volume_usd: 0.0,
-        });
-        accumulator.nfts.insert(record.nft);
-        accumulator.activities += 1;
-        accumulator.volume_eth += record.volume.to_eth();
-        accumulator.volume_usd += record.volume_usd;
-    }
-    let mut marketplaces: Vec<MarketplaceWashRow> = per_market
-        .iter()
-        .map(|(name, accumulator)| MarketplaceWashRow {
-            name: name.clone(),
-            nfts: accumulator.nfts.len(),
-            activities: accumulator.activities,
-            volume_eth: accumulator.volume_eth,
-            volume_usd: accumulator.volume_usd,
-            share_of_marketplace_volume: market_totals.get(name.as_str()).map(|total| {
-                if *total > 0.0 {
-                    accumulator.volume_usd / total
-                } else {
-                    0.0
-                }
-            }),
-        })
-        .collect();
-    marketplaces
-        .sort_by(|a, b| b.volume_usd.total_cmp(&a.volume_usd).then_with(|| a.name.cmp(&b.name)));
-    marketplaces
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ethsim::{Timestamp, TxHash};
     use ids::AccountId;
+    use washtrade::characterize::{activity_facts, market_totals, marketplace_wash};
     use washtrade::refine::DenseCandidate;
     use washtrade::txgraph::DenseTradeEdge;
 
@@ -1650,6 +1520,62 @@ mod tests {
         activities
     }
 
+    /// Each NFT's group facts and the Table II pass over them — what the
+    /// streaming analyzer caches in its fan-out and folds per epoch.
+    fn facts_and_wash(
+        dataset: &Dataset,
+        activities: &[DenseActivity],
+    ) -> (HashMap<NftKey, Vec<ActivityFacts>>, MarketplaceWash) {
+        let directory = MarketplaceDirectory::new();
+        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
+        let catalogue = PatternCatalogue::paper();
+        let facts: Vec<ActivityFacts> = activities
+            .iter()
+            .map(|a| activity_facts(&a.candidate, dataset, &directory, &oracle, &catalogue))
+            .collect();
+        let totals = market_totals(&dataset.marketplace_volumes(&directory, &oracle));
+        let wash = marketplace_wash(activities, &facts.iter().collect::<Vec<_>>(), &totals);
+        let mut groups: HashMap<NftKey, Vec<ActivityFacts>> = HashMap::new();
+        for (activity, facts) in activities.iter().zip(facts) {
+            groups.entry(activity.nft()).or_default().push(facts);
+        }
+        (groups, wash)
+    }
+
+    /// The full dense build over `activities`.
+    fn full_build(
+        meta: SnapshotMeta,
+        activities: &[DenseActivity],
+        dataset: &Dataset,
+        confirmed_at: &HashMap<NftId, BlockNumber>,
+    ) -> Snapshot {
+        let (facts, wash) = facts_and_wash(dataset, activities);
+        Snapshot::from_dense(meta, activities, |key| &facts[&key], dataset, confirmed_at, &wash)
+    }
+
+    /// The delta build of `activities` against `previous`.
+    fn delta_build(
+        previous: &Snapshot,
+        meta: SnapshotMeta,
+        activities: &[DenseActivity],
+        dataset: &Dataset,
+        confirmed_at: &HashMap<NftId, BlockNumber>,
+        changed: &BTreeSet<NftId>,
+    ) -> Snapshot {
+        let (facts, wash) = facts_and_wash(dataset, activities);
+        let facts_of = |key| &facts[&key];
+        Snapshot::delta_from_dense(
+            previous,
+            meta,
+            activities,
+            facts_of,
+            dataset,
+            confirmed_at,
+            changed,
+            &wash,
+        )
+    }
+
     fn fixture() -> Snapshot {
         let mut dataset = Dataset::default();
         let activities = vec![
@@ -1672,14 +1598,10 @@ mod tests {
                 (dataset.interner.nft(a.candidate.nft), BlockNumber(10 * (index as u64 + 1)))
             })
             .collect();
-        let directory = MarketplaceDirectory::new();
-        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
-        Snapshot::from_dense(
+        full_build(
             SnapshotMeta { epoch: 3, watermark: BlockNumber(100) },
             &activities,
             &dataset,
-            &directory,
-            &oracle,
             &confirmed_at,
         )
     }
@@ -1765,51 +1687,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_rollups_equal_the_characterization_rows() {
-        // `Snapshot::from_dense` derives its marketplace rollups itself
-        // (`rollup_marketplaces`); the streaming/batch constructors instead
-        // reuse `Characterization::per_marketplace`. This pins the two
-        // computations to each other — on a fixture with real venue
-        // attribution, not just the Off-market fallback — so Table II logic
-        // cannot drift from the self-contained constructor unnoticed.
-        let mut dataset = Dataset::default();
-        let opensea = Address::derived("opensea");
-        let mut activities = vec![
-            activity(&mut dataset, "meebits", 1, &["s1", "s2"], &[(0, 1, 1.0), (1, 0, 3.0)], 1_000),
-            activity(&mut dataset, "loot", 9, &["solo"], &[(0, 0, 5.0)], 4_000),
-        ];
-        // Route the pair's heavier leg through a real marketplace.
-        let market = dataset.interner.intern_market(opensea);
-        activities[0].candidate.internal_edges[1].2.marketplace = Some(market);
-        let mut directory = MarketplaceDirectory::new();
-        directory.add(marketplace::MarketplaceInfo {
-            name: "OpenSea".to_string(),
-            contract: opensea,
-            treasury: Address::derived("opensea-treasury"),
-            escrow: None,
-            fee_bps: 250,
-            reward: None,
-        });
-        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
-
-        let snapshot = Snapshot::from_dense(
-            SnapshotMeta { epoch: 1, watermark: BlockNumber(50) },
-            &activities,
-            &dataset,
-            &directory,
-            &oracle,
-            &HashMap::new(),
-        );
-        let characterization =
-            washtrade::characterize::characterize(&activities, &dataset, &directory, &oracle);
-        assert_eq!(snapshot.marketplaces(), &characterization.per_marketplace[..]);
-        let names: Vec<&str> =
-            snapshot.marketplaces().iter().map(|row| row.name.as_str()).collect();
-        assert!(names.contains(&"OpenSea") && names.contains(&"Off-market"));
-        assert_eq!(snapshot.stats().wash_volume_usd, characterization.total_volume_usd);
-    }
-
-    #[test]
     fn snapshots_are_cheap_handles_with_content_equality() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Snapshot>();
@@ -1830,44 +1707,21 @@ mod tests {
             activity(&mut dataset, "loot", 9, &["solo"], &[(0, 0, 5.0)], 900),
         ];
         let activities = confirmed_order(&dataset, activities);
-        let directory = MarketplaceDirectory::new();
-        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
         let confirmed_at: HashMap<NftId, BlockNumber> = activities
             .iter()
             .map(|a| (dataset.interner.nft(a.candidate.nft), BlockNumber(10)))
             .collect();
 
-        let base = Snapshot::from_dense(
+        let base = full_build(
             SnapshotMeta { epoch: 1, watermark: BlockNumber(20) },
             &activities,
             &dataset,
-            &directory,
-            &oracle,
             &confirmed_at,
         );
         let meta = SnapshotMeta { epoch: 2, watermark: BlockNumber(30) };
-        let delta = Snapshot::delta_from_dense(
-            &base,
-            meta,
-            &activities,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at,
-            base.marketplaces().to_vec(),
-            &BTreeSet::new(),
-            None,
-        );
-        let full = Snapshot::from_dense_with_marketplaces(
-            meta,
-            &activities,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at,
-            base.marketplaces().to_vec(),
-            None,
-        );
+        let delta =
+            delta_build(&base, meta, &activities, &dataset, &confirmed_at, &BTreeSet::new());
+        let full = full_build(meta, &activities, &dataset, &confirmed_at);
         assert_eq!(delta, full, "no-change delta is bit-identical to the full rebuild");
         let build = delta.build_stats();
         assert!(build.delta);
@@ -1885,18 +1739,14 @@ mod tests {
             activity(&mut dataset, "loot", 9, &["solo"], &[(0, 0, 5.0)], 900),
         ];
         let epoch1 = confirmed_order(&dataset, epoch1);
-        let directory = MarketplaceDirectory::new();
-        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
         let mut confirmed_at: HashMap<NftId, BlockNumber> = epoch1
             .iter()
             .map(|a| (dataset.interner.nft(a.candidate.nft), BlockNumber(10)))
             .collect();
-        let base = Snapshot::from_dense(
+        let base = full_build(
             SnapshotMeta { epoch: 1, watermark: BlockNumber(20) },
             &epoch1,
             &dataset,
-            &directory,
-            &oracle,
             &confirmed_at,
         );
 
@@ -1916,28 +1766,8 @@ mod tests {
         let changed: BTreeSet<NftId> = [punk].into_iter().collect();
 
         let meta = SnapshotMeta { epoch: 2, watermark: BlockNumber(30) };
-        let delta = Snapshot::delta_from_dense(
-            &base,
-            meta,
-            &epoch2,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at,
-            Vec::new(),
-            &changed,
-            None,
-        );
-        let full = Snapshot::from_dense_with_marketplaces(
-            meta,
-            &epoch2,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at,
-            Vec::new(),
-            None,
-        );
+        let delta = delta_build(&base, meta, &epoch2, &dataset, &confirmed_at, &changed);
+        let full = full_build(meta, &epoch2, &dataset, &confirmed_at);
         assert_eq!(delta, full, "delta build is bit-identical to the full rebuild");
         let build = delta.build_stats();
         assert!(build.delta);
@@ -1958,18 +1788,14 @@ mod tests {
             activity(&mut dataset, "punks", 3, &["x", "y"], &[(0, 1, 2.0), (1, 0, 2.0)], 1_500),
         ];
         let epoch1 = confirmed_order(&dataset, epoch1);
-        let directory = MarketplaceDirectory::new();
-        let oracle = PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1);
         let confirmed_at: HashMap<NftId, BlockNumber> = epoch1
             .iter()
             .map(|a| (dataset.interner.nft(a.candidate.nft), BlockNumber(10)))
             .collect();
-        let base = Snapshot::from_dense(
+        let base = full_build(
             SnapshotMeta { epoch: 1, watermark: BlockNumber(20) },
             &epoch1,
             &dataset,
-            &directory,
-            &oracle,
             &confirmed_at,
         );
 
@@ -1995,28 +1821,8 @@ mod tests {
         let changed: BTreeSet<NftId> = [loot, punk].into_iter().collect();
 
         let meta = SnapshotMeta { epoch: 2, watermark: BlockNumber(30) };
-        let delta = Snapshot::delta_from_dense(
-            &base,
-            meta,
-            &epoch2,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at2,
-            Vec::new(),
-            &changed,
-            None,
-        );
-        let full = Snapshot::from_dense_with_marketplaces(
-            meta,
-            &epoch2,
-            &dataset,
-            &directory,
-            &oracle,
-            &confirmed_at2,
-            Vec::new(),
-            None,
-        );
+        let delta = delta_build(&base, meta, &epoch2, &dataset, &confirmed_at2, &changed);
+        let full = full_build(meta, &epoch2, &dataset, &confirmed_at2);
         assert_eq!(delta, full, "losses and re-confirmations still match the full rebuild");
         assert_eq!(delta.build_stats().records_reused, 1, "only meebits 1 was reusable");
         assert_eq!(delta.suspect(loot), None);

@@ -23,7 +23,8 @@
 //!   [`StreamAnalyzer::suspects_since`], [`StreamAnalyzer::top_movers`])
 //!   answers without building it;
 //! * after every epoch the analyzer builds an immutable, epoch-versioned
-//!   `washtrade_serve::Snapshot` from the dense layers and swaps it into a
+//!   `washtrade_serve::Snapshot` from the dense layers and the fan-out's
+//!   cached facts (a publish prices nothing) and swaps it into a
 //!   [`SnapshotPublisher`](washtrade_serve::SnapshotPublisher) — the
 //!   publication seam the read-side subsystem (`washtrade-serve`) serves
 //!   concurrent queries from while ingestion keeps running. The analyzer's

@@ -58,7 +58,7 @@ use washtrade::refine::{
     Refiner,
 };
 use washtrade::txgraph::NftGraph;
-use washtrade_serve::{Snapshot, SnapshotMeta, SnapshotPublisher, WashVolumes};
+use washtrade_serve::{Snapshot, SnapshotMeta, SnapshotPublisher};
 
 use crate::cursor::BlockCursor;
 use crate::incremental::IncrementalGraphs;
@@ -542,48 +542,42 @@ impl<'a> StreamAnalyzer<'a> {
     /// `confirmed_at` map, which holds exactly the currently confirmed NFTs,
     /// so the snapshot's suspect log answers `suspects_since` exactly as the
     /// pre-index linear scan did; it is patched from the changed groups,
-    /// never rebuilt. The per-marketplace rollup rows are this epoch's
-    /// Table II pass (bit-identical to what the snapshot would re-derive)
-    /// instead of a re-scan of every transfer for venue totals.
+    /// never rebuilt. Table II and the wash totals are this epoch's Table II
+    /// pass, and each record's USD volume, venue and pattern are the facts
+    /// the dirty-set fan-out cached, so a publish prices nothing.
     ///
     /// Cost: the snapshot is **delta-encoded** against the one this analyzer
-    /// last published. The expensive per-activity resolution (USD pricing,
-    /// dominant venue, pattern classification, address resolution) runs only
-    /// for the NFTs in `changed_nfts` — the epoch's changed groups; every
-    /// unchanged NFT shares the previous epoch's resolved segment by `Arc`
-    /// clone, and a quiet epoch shares every index wholesale. The first
-    /// epoch of a generation (or one inheriting a foreign snapshot through
-    /// [`StreamAnalyzer::with_publisher`]) pays one full build. Either path
-    /// publishes a snapshot bit-identical to
+    /// last published. Only the NFTs in `changed_nfts` — the epoch's changed
+    /// groups — get fresh records, and each pays for address resolution
+    /// alone; every unchanged NFT shares the previous epoch's resolved
+    /// segment by `Arc` clone, and a quiet epoch shares every index
+    /// wholesale. The first epoch of a generation (or one inheriting a
+    /// foreign snapshot through [`StreamAnalyzer::with_publisher`]) pays one
+    /// full build. Either path publishes a snapshot bit-identical to
     /// [`StreamAnalyzer::rebuild_full_snapshot`] — the AsOf-parity gate's
     /// invariant.
     fn publish_snapshot(&mut self) {
         let mut publish_trace = obs::trace::span("serve.publish");
         let meta = self.current_meta();
-        let marketplaces = self.wash.rows.clone();
-        let wash_volumes = Some(self.current_wash_volumes());
+        let facts_of = |key| self.group_facts(key).map(|facts| &facts.characterize);
         let snapshot = match &self.last_snapshot {
             Some(previous) => Snapshot::delta_from_dense(
                 previous,
                 meta,
                 &self.detection.confirmed,
+                facts_of,
                 &self.dataset,
-                self.input.directory,
-                self.input.oracle,
                 &self.confirmed_at,
-                marketplaces,
                 &self.changed_nfts,
-                wash_volumes,
+                &self.wash,
             ),
-            None => Snapshot::from_dense_with_marketplaces(
+            None => Snapshot::from_dense(
                 meta,
                 &self.detection.confirmed,
+                facts_of,
                 &self.dataset,
-                self.input.directory,
-                self.input.oracle,
                 &self.confirmed_at,
-                marketplaces,
-                wash_volumes,
+                &self.wash,
             ),
         };
         let build = snapshot.build_stats();
@@ -609,24 +603,14 @@ impl<'a> StreamAnalyzer<'a> {
     /// the AsOf-parity gate asserts per epoch and the benchmark checks at
     /// every tip it reaches.
     pub fn rebuild_full_snapshot(&self) -> Snapshot {
-        Snapshot::from_dense_with_marketplaces(
+        Snapshot::from_dense(
             self.current_meta(),
             &self.detection.confirmed,
+            |key| self.group_facts(key).map(|facts| &facts.characterize),
             &self.dataset,
-            self.input.directory,
-            self.input.oracle,
             &self.confirmed_at,
-            self.wash.rows.clone(),
-            Some(self.current_wash_volumes()),
+            &self.wash,
         )
-    }
-
-    /// The epoch's float wash-volume totals, from this epoch's Table II
-    /// pass — the same flat fold over the same confirmed sequence the
-    /// snapshot would run, so forwarding changes no bits (the parity suite
-    /// pins this).
-    fn current_wash_volumes(&self) -> WashVolumes {
-        WashVolumes { eth: self.wash.total_volume_eth, usd: self.wash.total_volume_usd }
     }
 
     /// Ingest epochs of `max_blocks` until caught up with the chain tip;
@@ -744,12 +728,15 @@ impl<'a> StreamAnalyzer<'a> {
     fn confirmed_facts(&self) -> Vec<&CandidateFacts> {
         let mut facts = Vec::with_capacity(self.detection.confirmed.len());
         for group in self.detection.confirmed.chunk_by(|a, b| a.candidate.nft == b.candidate.nft) {
-            let key = group[0].candidate.nft;
-            let state =
-                self.states[key.index()].as_ref().expect("confirmed NFT has a cached state");
-            facts.extend(self.leverage.confirmed(key).iter().map(|&(at, _)| &state.facts[at]));
+            facts.extend(self.group_facts(group[0].candidate.nft));
         }
         facts
+    }
+
+    /// The cached facts of one confirmed NFT's group, in confirmed order.
+    fn group_facts(&self, key: NftKey) -> impl Iterator<Item = &CandidateFacts> + '_ {
+        let state = self.states[key.index()].as_ref().expect("confirmed NFT has a cached state");
+        self.leverage.confirmed(key).iter().map(move |&(at, _)| &state.facts[at])
     }
 
     /// The live report as of the last ingested epoch.
@@ -901,12 +888,6 @@ impl<'a> StreamAnalyzer<'a> {
     /// epoch (the empty epoch-zero snapshot before any ingestion).
     pub fn snapshot(&self) -> Snapshot {
         self.publisher.load()
-    }
-
-    /// The confirmed activities still in dense-id form, as the last epoch's
-    /// snapshot was built from them.
-    pub fn dense_confirmed(&self) -> &[DenseActivity] {
-        &self.detection.confirmed
     }
 
     /// Currently confirmed NFTs whose latest transition into the confirmed

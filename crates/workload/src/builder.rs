@@ -14,12 +14,10 @@ use tokens::{NftId, TokenError, TokenRegistry};
 
 use crate::config::WorkloadConfig;
 use crate::scenario::{
-    ExitEvidence, FundingEvidence, ScenarioPattern, ScenarioSampler, Venue, WashGoal,
-    WashScenarioSpec,
+    ExitEvidence, FundingEvidence, ScenarioSampler, Venue, WashGoal, WashScenarioSpec,
 };
 use crate::truth::WashActivityTruth;
 use crate::world::World;
-use graphlib::PatternId;
 
 /// Gas used by a direct (non-marketplace) NFT transfer.
 const DIRECT_TRANSFER_GAS: u64 = 85_000;
@@ -1005,11 +1003,6 @@ impl Runner {
             collection_created_day: runtime.collection_created_day,
         }
     }
-}
-
-/// Convenience: the pattern id of a self-trade, used by a few consumers.
-pub fn self_trade_pattern() -> ScenarioPattern {
-    ScenarioPattern::Catalogued(PatternId(0))
 }
 
 #[cfg(test)]

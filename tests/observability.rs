@@ -107,19 +107,12 @@ fn query_metrics_covers_every_instrumented_subsystem() {
     assert_eq!(epoch_ns.count, epochs as u64);
     assert!(snapshot.gauge("stream.watermark").unwrap_or(0) > 0);
 
-    // Serve: queries timed per variant, cache hit recorded, snapshots built.
+    // Serve: queries timed per variant, cache hit recorded.
     // (The Metrics query itself records its count only *after* the snapshot
     // it returns was taken, so it isn't in its own answer.)
     assert!(snapshot.counter("serve.query.count").unwrap_or(0) >= 3);
     assert!(snapshot.counter("serve.cache.hits").unwrap_or(0) >= 1);
     assert!(snapshot.histogram("serve.query.stats_ns").map_or(0, |h| h.count) >= 2);
-    let full_builds = snapshot.histogram("serve.snapshot.build_ns").map_or(0, |h| h.count);
-    let delta_builds = snapshot.histogram("serve.snapshot.delta_build_ns").map_or(0, |h| h.count);
-    assert!(
-        full_builds + delta_builds >= epochs as u64,
-        "every published epoch builds a snapshot (full or delta-encoded)"
-    );
-    assert!(delta_builds >= 1, "steady-state epochs delta-encode against the previous snapshot");
     assert_eq!(snapshot.counter("serve.publisher.publishes"), Some(epochs as u64));
 
     // Publish provenance: the delta/full split, chunk-reuse ratio (basis
