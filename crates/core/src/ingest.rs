@@ -536,6 +536,136 @@ mod tests {
         assert_eq!(transfers[0].price, Wei::ZERO);
     }
 
+    proptest::proptest! {
+        // One transaction's logs: valid ERC-20 transfers from three payers,
+        // to the seller or to another payer, with amounts small, near 2^127
+        // or near u128::MAX; ERC-721 transfers to the payers; and both kinds
+        // mangled the way the log decoders' proptest mangles them (topic
+        // count, a non-zero address-padding byte, an amount word ≥ 2^128 or
+        // a token id word ≥ 2^64, data length). The attached value is zero
+        // in half the cases. Resolution never panics. A non-zero value is
+        // every buyer's price. Otherwise a buyer pays the sum of the ERC-20
+        // transfers they sent that a mangling left decodable, or nothing
+        // when that sum overflows u128. No other log counts.
+        #[test]
+        fn payment_is_the_value_or_the_buyer_s_decodable_erc20_sum(
+            logs in proptest::collection::vec(
+                (
+                    (0usize..3, 0usize..9),
+                    ((0u64..u64::MAX, 0u64..u64::MAX), (0usize..97, 1u16..256)),
+                ),
+                0..10,
+            ),
+            (value, noise) in (0u64..4, proptest::collection::vec(0u16..256, 192..193)),
+        ) {
+            use ethsim::{Log, Timestamp, B256};
+            let noise: Vec<u8> = noise.into_iter().map(|byte| byte as u8).collect();
+            let payers: Vec<Address> =
+                (0..3).map(|i| Address::derived(&format!("payer-{i}"))).collect();
+            let (collection, weth) = (Address::derived("collection"), Address::derived("weth"));
+            let seller = Address::derived("seller");
+            // Each counted ERC-20 transfer as (payer, amount), known by
+            // construction rather than by decoding.
+            let mut paid: Vec<(Address, u128)> = Vec::new();
+            let mut tx_logs = Vec::new();
+            for ((payer, kind), ((high, low), (param, byte))) in logs {
+                let byte = byte as u8;
+                let amount = match high % 3 {
+                    0 => u128::from(low),
+                    1 => u128::MAX - u128::from(low),
+                    _ => (1 << 127) | u128::from(low),
+                };
+                let to = if kind == 2 { payers[(payer + 1) % 3] } else { seller };
+                let mut log = Log::erc20_transfer(weth, payers[payer], to, amount);
+                let counts = match kind {
+                    0..=2 => true,
+                    3 => {
+                        log = Log::erc721_transfer(collection, seller, payers[payer], low);
+                        false
+                    }
+                    4 => {
+                        let topics = param % 7;
+                        log.topics.truncate(topics);
+                        while log.topics.len() < topics {
+                            let slot = log.topics.len() - 3;
+                            let mut word = [0u8; 32];
+                            word.copy_from_slice(&noise[32 * slot..][..32]);
+                            log.topics.push(B256(word));
+                        }
+                        topics == 3
+                    }
+                    5 => {
+                        log.topics[1 + param % 2].0[param % 12] = byte;
+                        false
+                    }
+                    6 => {
+                        log.data[param % 16] = byte;
+                        false
+                    }
+                    7 => {
+                        log.data.truncate(param);
+                        let kept = log.data.len();
+                        log.data.extend_from_slice(&noise[96..96 + param - kept]);
+                        param == 32
+                    }
+                    _ => {
+                        // An ERC-721 log keeps four topics or empty data, so
+                        // no mangling makes it ERC-20-shaped.
+                        log = Log::erc721_transfer(collection, seller, payers[payer], low);
+                        let at = param / 4;
+                        match param % 4 {
+                            0 => log.topics.truncate(at % 4),
+                            1 => log.topics[1 + at % 2].0[at % 12] = byte,
+                            2 => log.topics[3].0[at] = byte,
+                            _ => log.data.extend_from_slice(&noise[..at]),
+                        }
+                        false
+                    }
+                };
+                if counts {
+                    paid.push((payers[payer], amount));
+                }
+                tx_logs.push(log);
+            }
+            let value = match value {
+                0 | 1 => Wei::ZERO,
+                2 => Wei::from_eth(0.5),
+                _ => Wei::new(u128::MAX),
+            };
+            let tx = Transaction {
+                hash: TxHash::hash_of(b"payment"),
+                block: BlockNumber(1),
+                timestamp: Timestamp::from_secs(1_640_995_200),
+                from: payers[0],
+                to: Some(collection),
+                value,
+                gas_used: 90_000,
+                gas_price: Wei::from_gwei(30),
+                input: Vec::new(),
+                logs: tx_logs,
+                internal_transfers: Vec::new(),
+            };
+            let payment = TxPayment::resolve(&tx, &MarketplaceDirectory::new());
+            for buyer in payers.iter().copied().chain([seller, Address::derived("bystander")]) {
+                let expected = if !value.is_zero() {
+                    value
+                } else {
+                    // A carry out of any partial sum means the whole sum
+                    // exceeds u128::MAX: amounts are non-negative.
+                    let (sum, overflowed) = paid
+                        .iter()
+                        .filter(|(payer, _)| *payer == buyer)
+                        .fold((0u128, false), |(sum, overflowed), (_, amount)| {
+                            let (sum, carry) = sum.overflowing_add(*amount);
+                            (sum, overflowed || carry)
+                        });
+                    if overflowed { Wei::ZERO } else { Wei::new(sum) }
+                };
+                proptest::prop_assert_eq!(payment.price_paid_by(buyer), expected, "{:?}", tx.logs);
+            }
+        }
+    }
+
     #[test]
     fn payment_context_reproduces_per_log_resolution() {
         let world = World::generate(WorkloadConfig::small(11)).expect("world");

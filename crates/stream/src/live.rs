@@ -11,11 +11,12 @@
 //! dirty NFTs' candidate groups replace their old ones, and the index names
 //! the other NFTs whose leverage verdict flipped. Only those NFTs' confirmed
 //! groups are re-derived, and only the groups that changed patch the dense
-//! confirmed list, the suspect log, the Fig. 3 refcounts and the snapshot's
-//! changed set. The snapshot also needs Table I and Table II. Table I is
-//! batch's row-order fold, kept across epochs and extended with only the
-//! rows each epoch appended; the Table II pass runs every epoch over the
-//! confirmed activities, through the batch code path. The rest of the report —
+//! confirmed list, its Table II leaf column, the suspect log, the Fig. 3
+//! refcounts and the snapshot's changed set. The snapshot also needs Table I
+//! and Table II. Table I is batch's row-order fold, kept across epochs and
+//! extended with only the rows each epoch appended; Table II is batch's fold
+//! run every epoch over the leaf column, one contiguous pass with no cached
+//! facts read. The rest of the report —
 //! the characterization, the Fig. 3 CDF, both profit reduces and the
 //! resolved detection outcome — is built on the first
 //! [`StreamAnalyzer::report`] read after an epoch, at O(confirmed) cost,
@@ -40,8 +41,8 @@ use ids::NftKey;
 use serde::{Deserialize, Serialize};
 use tokens::NftId;
 use washtrade::characterize::{
-    activity_facts, characterize, characterize_from_parts, market_totals, marketplace_wash,
-    ActivityFacts, Characterization, CharacterizeBaseline, MarketplaceWash,
+    activity_facts, characterize, characterize_from_parts, fold_marketplace_wash, market_totals,
+    ActivityFacts, Characterization, CharacterizeBaseline, MarketSlots, MarketplaceWash, WashLeaf,
 };
 use washtrade::dataset::{Dataset, MarketVolumeFold};
 use washtrade::detect::{
@@ -94,11 +95,11 @@ pub struct EpochDelta {
     pub wall_time_ns: u64,
     /// Wall-clock time of the epoch's reassembly, nanoseconds — the
     /// benchmark's `stream.reassemble_ms` sample. It covers the leverage
-    /// index update, the changed groups' patch of the confirmed set and the
-    /// Fig. 3 refcounts, folding the epoch's new rows into Table I, and the
-    /// Table II pass the snapshot needs. The full [`LiveReport`] is not
-    /// built here but on the first [`StreamAnalyzer::report`] read after the
-    /// epoch.
+    /// index update, the changed groups' patch of the confirmed set, its
+    /// Table II leaf column and the Fig. 3 refcounts, folding the epoch's
+    /// new rows into Table I, and the Table II fold over the leaf column
+    /// that the snapshot needs. The full [`LiveReport`] is not built here
+    /// but on the first [`StreamAnalyzer::report`] read after the epoch.
     pub reassemble_ns: u64,
 }
 
@@ -266,11 +267,13 @@ pub struct StreamAnalyzer<'a> {
     /// ascending) and the counters. Each epoch's snapshot is built from it
     /// and a report read resolves it; only the changed groups are patched.
     detection: DenseDetectionOutcome,
-    /// Marketplace name → total volume (USD), read off this epoch's Table I
-    /// fold: the denominators of Table II's shares.
-    market_totals: HashMap<String, f64>,
+    /// Table II's input: one leaf per confirmed activity, aligned 1:1 with
+    /// `detection.confirmed` and patched from the same changed groups.
+    wash_leaves: Vec<WashLeaf>,
+    /// The marketplace slots `wash_leaves` refer to.
+    market_slots: MarketSlots,
     /// This epoch's Table II rows and wash totals, which the snapshot
-    /// publishes.
+    /// publishes and a report read reuses.
     wash: MarketplaceWash,
     /// NFTs whose confirmed activities changed in the last reassembly. This
     /// is the delta-build contract: the changed groups include leverage
@@ -333,7 +336,8 @@ impl<'a> StreamAnalyzer<'a> {
             legit: LegitVolumeSet::new(),
             confirmed_at: HashMap::new(),
             detection: DenseDetectionOutcome::default(),
-            market_totals: HashMap::new(),
+            wash_leaves: Vec::new(),
+            market_slots: MarketSlots::default(),
             wash: MarketplaceWash::default(),
             changed_nfts: BTreeSet::new(),
             last_snapshot: None,
@@ -625,23 +629,29 @@ impl<'a> StreamAnalyzer<'a> {
 
     /// Bring the confirmed set and the snapshot inputs up to date with the
     /// dirty NFTs' fresh caches, at the cost of the NFTs whose confirmed
-    /// group changed and the epoch's new rows, plus the Table II pass.
+    /// group changed and the epoch's new rows, plus the Table II fold.
     ///
     /// The dirty NFTs' candidate groups replace their old ones in the
     /// leverage index, which re-derives their verdicts and those of the NFTs
     /// whose leverage verdict flipped with them; no other NFT's confirmed
-    /// group can change. Each re-derived group is compared with its old
-    /// stretch of the dense confirmed list, and only the groups that differ
-    /// patch the list and feed the Fig. 3 refcount flips — exact, because an
-    /// unchanged group adds nothing to either. Table I folds only the rows
-    /// the epoch appended: the fold runs in row order and a transaction's
-    /// rows arrive in one block, so extending it is batch's one pass split
-    /// at epoch boundaries. The Table II pass still walks every confirmed
-    /// activity in the batch fold order, so every float matches batch bit
-    /// for bit; the rest of the report waits for [`StreamAnalyzer::report`].
+    /// group can change. A touched NFT with no group before or after is
+    /// skipped. Each other re-derived group is compared with its old stretch
+    /// of the dense confirmed list, and only the groups that differ patch
+    /// the list, its leaf column and the Fig. 3 refcount flips — exact,
+    /// because an unchanged group adds nothing to any of them. Table I folds
+    /// only the rows the epoch appended: the fold runs in row order and a
+    /// transaction's rows arrive in one block, so extending it is batch's
+    /// one pass split at epoch boundaries. The Table II fold still reads one
+    /// leaf per confirmed activity in the batch fold order, so every float
+    /// matches batch bit for bit; the rest of the report waits for
+    /// [`StreamAnalyzer::report`].
     /// Returns the changed groups, in ascending NFT order, which drive the
     /// caller's suspect transitions and the snapshot delta.
-    fn reassemble(&mut self, last_block: BlockNumber, dirty: &[NftKey]) -> Vec<GroupChange> {
+    fn reassemble(
+        &mut self,
+        last_block: BlockNumber,
+        dirty: &[NftKey],
+    ) -> Vec<GroupChange<DenseActivity>> {
         let _reassemble_span = obs::span!("stream.reassemble_ns");
         let _reassemble_trace = obs::trace::span("stream.reassemble");
         let interner = &self.dataset.interner;
@@ -664,11 +674,24 @@ impl<'a> StreamAnalyzer<'a> {
         touched.dedup();
         // A touched NFT's group changed iff it differs from the NFT's
         // stretch of the confirmed list, which is sorted by resolved NFT, so
-        // one forward search finds each stretch.
+        // one forward search finds each stretch. A changed group's leaves
+        // replace the same stretch of the leaf column.
         let previous = std::mem::take(&mut self.detection.confirmed);
+        // Taken out of `self` so the loop can assign slots while
+        // `group_facts` borrows `self`.
+        let mut slots = std::mem::take(&mut self.market_slots);
         let mut groups = Vec::new();
+        let mut leaf_groups = Vec::new();
         let mut from = 0;
         for (nft, key) in touched {
+            let verdicts = self.leverage.confirmed(key);
+            // Most touched NFTs have no group before or after, so nothing
+            // to diff. `confirmed_at` still holds exactly the previous
+            // epoch's confirmed NFTs here: `ingest_epoch` patches it only
+            // from the changes this returns.
+            if verdicts.is_empty() && !self.confirmed_at.contains_key(&nft) {
+                continue;
+            }
             let start =
                 from + previous[from..].partition_point(|a| interner.nft(a.candidate.nft) < nft);
             let end =
@@ -679,7 +702,6 @@ impl<'a> StreamAnalyzer<'a> {
                 .get(key.index())
                 .and_then(Option::as_ref)
                 .map_or(&[][..], |state| &state.refinement.candidates[..]);
-            let verdicts = self.leverage.confirmed(key);
             let unchanged = end - start == verdicts.len()
                 && previous[start..end].iter().zip(verdicts).all(|(activity, &(at, methods))| {
                     activity.methods == methods && activity.candidate == candidates[at]
@@ -692,10 +714,18 @@ impl<'a> StreamAnalyzer<'a> {
                         methods,
                     })
                     .collect();
+                let leaves = self
+                    .group_facts(key)
+                    .map(|facts| slots.leaf(key, &facts.characterize))
+                    .collect();
                 groups.push((nft, start..end, group));
+                leaf_groups.push((nft, start..end, leaves));
             }
         }
         let (confirmed, changes) = patch_groups(previous, groups);
+        (self.wash_leaves, _) = patch_groups(std::mem::take(&mut self.wash_leaves), leaf_groups);
+        self.market_slots = slots;
+        debug_assert_eq!(self.wash_leaves.len(), confirmed.len(), "one leaf per activity");
         self.detection = self.leverage.outcome(confirmed);
         drop(detect_span);
 
@@ -713,13 +743,10 @@ impl<'a> StreamAnalyzer<'a> {
         // row order and never revisits a row, so this is the batch pass
         // split at epoch boundaries, every f64 add in the same order.
         self.table1.extend(&self.dataset.columns, oracle);
-        self.market_totals = market_totals(&self.table1.table(directory, interner));
-        // Table II and the wash totals, for the snapshot: the fold
-        // `characterize_from_parts` runs, over the same facts in the same
-        // order.
-        let facts = self.confirmed_facts();
-        let facts: Vec<&ActivityFacts> = facts.iter().map(|facts| &facts.characterize).collect();
-        self.wash = marketplace_wash(&self.detection.confirmed, &facts, &self.market_totals);
+        let market_totals = market_totals(&self.table1.table(directory, interner));
+        // Table II and the wash totals: batch's fold over the leaf column,
+        // which holds the same values in the same (confirmed) order.
+        self.wash = fold_marketplace_wash(&self.wash_leaves, &self.market_slots, &market_totals);
         self.watermark = BlockNumber(last_block.0 + 1);
         changes
     }
@@ -733,19 +760,24 @@ impl<'a> StreamAnalyzer<'a> {
         facts
     }
 
-    /// The cached facts of one confirmed NFT's group, in confirmed order.
+    /// The cached facts of one NFT's confirmed group, in confirmed order;
+    /// empty for an NFT with no group.
     fn group_facts(&self, key: NftKey) -> impl Iterator<Item = &CandidateFacts> + '_ {
-        let state = self.states[key.index()].as_ref().expect("confirmed NFT has a cached state");
-        self.leverage.confirmed(key).iter().map(move |&(at, _)| &state.facts[at])
+        let state = self.states.get(key.index()).and_then(Option::as_ref);
+        self.leverage
+            .confirmed(key)
+            .iter()
+            .map(move |&(at, _)| &state.expect("confirmed NFT has a cached state").facts[at])
     }
 
     /// The live report as of the last ingested epoch.
     ///
     /// Built on the first read after an epoch, from the maintained state:
-    /// the characterize reduce over the confirmed activities' cached facts,
-    /// the Fig. 3 CDF, both profit reduces over cached outcomes, and one
-    /// resolution of the dense detection outcome — O(confirmed), the same
-    /// reduces the batch pipeline runs, so the report is bit-identical to
+    /// the characterize reduce over the confirmed activities' cached facts
+    /// and the epoch's Table II fold, the Fig. 3 CDF, both profit reduces
+    /// over cached outcomes, and one resolution of the dense detection
+    /// outcome — O(confirmed), the same reduces the batch pipeline runs, so
+    /// the report is bit-identical to
     /// [`StreamAnalyzer::rebuild_full_report`]. Later reads return the
     /// cached report until the next [`StreamAnalyzer::ingest_epoch`].
     pub fn report(&self) -> &LiveReport {
@@ -757,7 +789,6 @@ impl<'a> StreamAnalyzer<'a> {
             let characterize_facts: Vec<&ActivityFacts> =
                 facts.iter().map(|facts| &facts.characterize).collect();
             let baseline = CharacterizeBaseline {
-                market_totals: self.market_totals.clone(),
                 legit_volume_cdf: self.legit.cdf(),
                 collection_created: self.collection_created.clone(),
             };
@@ -767,6 +798,7 @@ impl<'a> StreamAnalyzer<'a> {
                 characterization: characterize_from_parts(
                     &self.detection.confirmed,
                     &characterize_facts,
+                    self.wash.clone(),
                     baseline,
                 ),
                 rewards: reduce_rewards(
@@ -913,26 +945,28 @@ impl<'a> StreamAnalyzer<'a> {
     }
 }
 
-/// One NFT whose confirmed group an epoch changed.
+/// One NFT whose confirmed group an epoch changed, in a list of `T` kept
+/// per confirmed activity.
 #[derive(Debug, Clone, PartialEq)]
-struct GroupChange {
+struct GroupChange<T> {
     nft: NftId,
-    /// The group's previous activities; empty for a new suspect.
-    previous: Vec<DenseActivity>,
+    /// The group's previous items; empty for a new suspect.
+    previous: Vec<T>,
     /// The group's range in the patched confirmed list; empty for a lost
     /// suspect.
     current: Range<usize>,
 }
 
-/// Patch a confirmed list with each changed NFT's new group: `group`
-/// replaces `confirmed[range]` (ranges ascending and disjoint; an empty
-/// range inserts where the group sorts), and every stretch in between moves
-/// over as is. Returns the patched list and the changes, each with the
-/// activities it replaced and its range in the patched list.
-fn patch_groups(
-    confirmed: Vec<DenseActivity>,
-    groups: Vec<(NftId, Range<usize>, Vec<DenseActivity>)>,
-) -> (Vec<DenseActivity>, Vec<GroupChange>) {
+/// Patch a list kept per confirmed activity (the confirmed list or its leaf
+/// column) with each changed NFT's new group: `group` replaces
+/// `confirmed[range]` (ranges ascending and disjoint; an empty range inserts
+/// where the group sorts), and every stretch in between moves over as is.
+/// Returns the patched list and the changes, each with the items it
+/// replaced and its range in the patched list.
+fn patch_groups<T>(
+    confirmed: Vec<T>,
+    groups: Vec<(NftId, Range<usize>, Vec<T>)>,
+) -> (Vec<T>, Vec<GroupChange<T>>) {
     if groups.is_empty() {
         return (confirmed, Vec::new());
     }
