@@ -197,21 +197,18 @@ impl Dataset {
         metrics.shards = spans.len();
         metrics.threads = executor.threads_for(spans.len());
 
-        let started = std::time::Instant::now();
         let mut decode_trace = obs::trace::span("ingest.decode");
         decode_trace.attr("shards", spans.len() as u64);
         let non_compliant = &self.non_compliant_contracts;
         let batches =
             executor.map(&spans, |span| decode_span(chain, directory, non_compliant, *span));
-        decode_trace.finish();
-        metrics.decode_ns = elapsed_ns(started);
+        metrics.decode_ns = nanos(decode_trace.finish());
 
         // Ordered probe-and-commit: shards are contiguous block ranges in
         // ascending order, so probing each shard's contracts and appending
         // its transfers in shard order reproduces the serial probe-and-push
         // sequence — and with it the verdict sets and the id assignment —
         // exactly.
-        let started = std::time::Instant::now();
         let mut commit_trace = obs::trace::span("ingest.commit");
         let mut applied = AppliedEntries::default();
         let total: usize = batches.iter().map(|batch| batch.transfers.len()).sum();
@@ -250,16 +247,16 @@ impl Dataset {
         applied.dirty.dedup();
         metrics.appended = applied.appended;
         commit_trace.attr("appended", applied.appended as u64);
-        commit_trace.finish();
-        metrics.commit_ns = elapsed_ns(started);
+        metrics.commit_ns = nanos(commit_trace.finish());
         metrics.reconcile_ns = metrics.commit_ns;
         self.record_ingest_metrics(&metrics, entities_before);
         (applied, metrics)
     }
 
-    /// Publish one ingest call's phase timings and entity deltas into the
+    /// Publish one ingest call's counts and entity deltas into the
     /// process-wide metrics registry (`ingest.*` — see the README's metric
-    /// catalog). Purely observational: nothing here feeds back into results.
+    /// catalog; the phase spans record `ingest.{decode,commit}_ns`). Purely
+    /// observational: nothing here feeds back into results.
     fn record_ingest_metrics(
         &self,
         metrics: &IngestMetrics,
@@ -272,8 +269,6 @@ impl Dataset {
         obs::counter!("ingest.raw_events", metrics.raw_events as u64);
         obs::counter!("ingest.transfers", metrics.appended as u64);
         obs::counter!("ingest.shards", metrics.shards as u64);
-        obs::histogram!("ingest.decode_ns", metrics.decode_ns);
-        obs::histogram!("ingest.commit_ns", metrics.commit_ns);
         let (accounts, nfts, markets) = entities_before;
         obs::counter!("ingest.new_accounts", (self.interner.account_count() - accounts) as u64);
         obs::counter!("ingest.new_nfts", (self.interner.nft_count() - nfts) as u64);
@@ -344,8 +339,10 @@ fn decode_span(
     batch
 }
 
-fn elapsed_ns(started: std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX)
+/// A span's reading as whole nanoseconds, clamped to 1 ns: a zero would be
+/// indistinguishable from "not measured" in downstream tooling.
+pub(crate) fn nanos(elapsed: std::time::Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos().max(1)).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

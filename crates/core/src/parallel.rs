@@ -59,12 +59,11 @@ impl Executor {
     /// sequence. Panics in `f` propagate.
     ///
     /// Parallel fan-outs are instrumented (`executor.*` metrics): each worker
-    /// reports its busy time back to the calling thread, which records
-    /// everything — workers never touch the metrics registry, because their
-    /// threads are short-lived and per-thread metric shards would be
-    /// allocated and retired on every call. The inline path (one thread)
-    /// stays untouched; instrumentation costs one `Instant` read per worker
-    /// and only while recording is on.
+    /// runs inside an `executor.worker` span, whose sample lands in
+    /// `executor.worker_ns` on the worker's own thread (so, while recording,
+    /// each worker allocates and retires a metric shard), and the calling
+    /// thread counts the fan-out. The inline path (one thread) stays
+    /// untouched.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -77,12 +76,11 @@ impl Executor {
         }
         let chunk_size = items.len().div_ceil(threads);
         let f = &f;
-        let instrumented = obs::recording();
-        let started = instrumented.then(std::time::Instant::now);
+        let started = obs::recording().then(std::time::Instant::now);
         // Workers inherit the fan-out's trace context so spans they open (or
         // traced code they call into) parent under the calling span's tree.
         let trace_ctx = obs::trace::current();
-        let (results, busy_ns) = std::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks(chunk_size)
                 .enumerate()
@@ -92,32 +90,23 @@ impl Executor {
                         let mut worker_span = obs::trace::span("executor.worker");
                         worker_span.attr("shard", shard as u64);
                         worker_span.attr("tasks", chunk.len() as u64);
-                        let started = instrumented.then(std::time::Instant::now);
-                        let out = chunk.iter().map(f).collect::<Vec<U>>();
-                        let busy = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
-                        (out, busy)
+                        chunk.iter().map(f).collect::<Vec<U>>()
                     })
                 })
                 .collect();
             let mut results = Vec::with_capacity(items.len());
-            let mut busy_ns = 0u64;
             for handle in handles {
-                let (out, busy) = handle.join().expect("parallel worker panicked");
-                results.extend(out);
-                if instrumented {
-                    obs::histogram!("executor.worker_busy_ns", busy);
-                    busy_ns += busy;
-                }
+                results.extend(handle.join().expect("parallel worker panicked"));
             }
-            (results, busy_ns)
+            results
         });
         if let Some(started) = started {
-            // span_ns ≥ busy_ns always; busy_ns / span_ns is the fan-out's
-            // worker utilization (1.0 = perfectly balanced chunks).
+            // span_ns ≥ the workers' summed `executor.worker_ns`; their ratio
+            // is the fan-out's worker utilization (1.0 = perfectly balanced
+            // chunks).
             let span_ns = started.elapsed().as_nanos() as u64 * threads as u64;
             obs::counter!("executor.fanouts");
             obs::counter!("executor.tasks", items.len() as u64);
-            obs::counter!("executor.busy_ns", busy_ns);
             obs::counter!("executor.span_ns", span_ns);
         }
         results

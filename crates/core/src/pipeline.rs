@@ -14,7 +14,7 @@
 //! the public [`AnalysisReport`] is identical to the address-keyed
 //! pipeline's output bit for bit.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ethsim::Chain;
 use labels::LabelRegistry;
@@ -418,34 +418,20 @@ pub struct AnalysisReport {
 
 /// Run the full pipeline with explicit options.
 pub fn analyze_with(input: AnalysisInput<'_>, options: AnalysisOptions) -> AnalysisReport {
-    let _run_span = obs::span!("core.analyze_ns");
     let _run_trace = obs::trace::span("core.analyze");
     let mut ctx = AnalysisContext::new(input, options);
     let mut stage_metrics = Vec::new();
     for stage in standard_stages() {
-        let mut stage_trace = if obs::recording() {
-            obs::trace::span_dynamic(&format!("stage.{}", stage.name()))
-        } else {
-            obs::trace::span_dynamic("")
-        };
-        let started = Instant::now();
+        let mut stage_trace = obs::trace::span_dynamic(&format!("stage.{}", stage.name()));
         let io = stage.run(&mut ctx);
-        let wall_time = started.elapsed();
         stage_trace.attr("items_in", io.items_in as u64);
         stage_trace.attr("items_out", io.items_out as u64);
         stage_trace.attr("threads", io.threads_used as u64);
-        stage_trace.finish();
-        if obs::recording() {
-            // Stage names are not literals here, so this goes through the
-            // dynamic registry lookup — six lookups per run, negligible.
-            obs::histogram(&format!("stage.{}_ns", stage.name())).record_duration(wall_time);
-        }
+        let wall_time = stage_trace.finish();
         if options.collect_metrics {
             stage_metrics.push(StageMetrics {
                 stage: stage.name().to_string(),
-                // Clamp to 1 ns: a zero reading would be indistinguishable
-                // from "not measured" in downstream tooling.
-                wall_time_ns: u64::try_from(wall_time.as_nanos().max(1)).unwrap_or(u64::MAX),
+                wall_time_ns: crate::ingest::nanos(wall_time),
                 items_in: io.items_in,
                 items_out: io.items_out,
                 threads: io.threads_used,

@@ -144,7 +144,8 @@ fn monitor() -> &'static Mutex<Monitor> {
     MONITOR.get_or_init(|| Mutex::new(Monitor::default()))
 }
 
-/// The default objective catalog for the live pipeline:
+/// The default objective catalog for the live pipeline (`stream.epoch_ns`
+/// is the `stream.epoch` span: the epoch through its snapshot publish):
 ///
 /// | objective       | rule                                                  |
 /// |-----------------|-------------------------------------------------------|

@@ -1,6 +1,6 @@
 //! Process-wide runtime observability: lock-free counters, gauges, and
-//! log-bucketed latency histograms, plus a lightweight span API and a bounded
-//! per-thread event ring.
+//! log-bucketed latency histograms, plus one timing guard,
+//! [`trace::span`], that feeds both the causal trace and the histograms.
 //!
 //! Design constraints, in order:
 //!
@@ -18,9 +18,12 @@
 //!    (including shards retired by exited threads) and emits metrics sorted
 //!    by name, with a monotonically increasing version stamp.
 //!
-//! The recording surface is the five macros — [`counter!`], [`gauge!`],
-//! [`histogram!`], [`span!`], [`event!`] — plus same-named free functions for
-//! dynamically built metric names.
+//! The recording surface is three macros — [`counter!`], [`gauge!`],
+//! [`histogram!`] — plus same-named free functions for dynamically built
+//! metric names, and the one timing guard: [`trace::span`] (or
+//! [`trace::span_dynamic`]) reads the clock once when it opens, returns the
+//! elapsed time from [`TraceSpan::finish`], and while recording writes both a
+//! flight-ring [`SpanRecord`] and one sample into the `<name>_ns` histogram.
 //!
 //! On top of the flat metrics sit three attribution layers, all honoring the
 //! same two escape hatches: [`trace`] (causal span trees with cross-thread
@@ -32,22 +35,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod events;
 pub mod flight;
 pub mod health;
 mod registry;
 mod snapshot;
-mod span;
 pub mod trace;
 
-pub use events::{recent_events, Event};
 pub use health::{HealthReport, SloRule, SloSpec, SloVerdict};
 pub use registry::{
     counter, gauge, histogram, Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram,
     MetricKind, BUCKETS, MAX_SLOTS,
 };
 pub use snapshot::{snapshot, HistogramSummary, Metric, MetricValue, MetricsSnapshot};
-pub use span::{span, SpanGuard};
 pub use trace::{SpanId, SpanRecord, TraceContext, TraceId, TraceSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,21 +78,6 @@ pub fn recording() -> bool {
     enabled() && RECORDING.load(Ordering::Relaxed)
 }
 
-/// Record an event with a statically named ring entry, e.g.
-/// `obs::event("stream.epoch", format!("epoch {epoch}"))`. Prefer the
-/// [`event!`] macro, which skips the `format!` cost while recording is off.
-pub fn event(name: &'static str, detail: String) {
-    events::record(name.to_string(), detail);
-}
-
-/// Record an event with a dynamically built name, mirroring [`span`](fn@span)
-/// and [`histogram`](fn@histogram): `obs::event_dynamic(&format!("workload.scenario.{kind}"),
-/// detail)`. Pays one extra allocation per call; events are coarse
-/// milestones, never per-query.
-pub fn event_dynamic(name: &str, detail: String) {
-    events::record(name.to_string(), detail);
-}
-
 /// Increment a statically named counter: `counter!("ingest.calls")` or
 /// `counter!("ingest.raw_events", n)`. The handle is registered once per call
 /// site and cached in a hidden `static`.
@@ -119,38 +103,12 @@ macro_rules! gauge {
 }
 
 /// Record one sample into a statically named histogram:
-/// `histogram!("stream.epoch_ns", wall_time_ns)`.
+/// `histogram!("stream.dirty_nfts", dirty as u64)`. To time an interval,
+/// open a [`trace::span`] instead.
 #[macro_export]
 macro_rules! histogram {
     ($name:literal, $v:expr) => {{
         static __OBS_HISTOGRAM: $crate::LazyHistogram = $crate::LazyHistogram::new($name);
         __OBS_HISTOGRAM.record($v);
     }};
-}
-
-/// Open a span guard that records its lifetime (in nanoseconds) into the named
-/// histogram when dropped: `let _span = span!("stage.refine");`.
-#[macro_export]
-macro_rules! span {
-    ($name:literal) => {{
-        static __OBS_SPAN_HIST: $crate::LazyHistogram = $crate::LazyHistogram::new($name);
-        $crate::SpanGuard::new(__OBS_SPAN_HIST.get())
-    }};
-}
-
-/// Push an entry into the bounded recent-event ring. The detail arguments are
-/// `format!`-style and are only evaluated while recording is on:
-/// `event!("serve.publish", "epoch {epoch}")`.
-#[macro_export]
-macro_rules! event {
-    ($name:literal) => {
-        if $crate::recording() {
-            $crate::event($name, ::std::string::String::new());
-        }
-    };
-    ($name:literal, $($arg:tt)+) => {
-        if $crate::recording() {
-            $crate::event($name, ::std::format!($($arg)+));
-        }
-    };
 }

@@ -167,55 +167,53 @@ thread_local! {
     static LOCAL: LocalShard = LocalShard { shard: registry().new_shard() };
 }
 
-fn register(name: &str, kind: MetricKind, cells: usize) -> usize {
-    let mut inner = registry().lock();
-    if let Some(&index) = inner.by_name.get(name) {
-        let def = &inner.defs[index];
-        assert_eq!(
-            def.kind, kind,
-            "metric `{name}` already registered as {:?}, requested {:?}",
-            def.kind, kind
-        );
-        return def.slot;
-    }
-    let slot = inner.cell_kinds.len();
-    assert!(
-        slot + cells <= MAX_SLOTS,
-        "obs metric slot space exhausted registering `{name}` (MAX_SLOTS = {MAX_SLOTS})"
-    );
-    match kind {
-        MetricKind::Counter => inner.cell_kinds.push(CellKind::Add),
-        MetricKind::Histogram => {
-            inner.cell_kinds.extend(std::iter::repeat_n(CellKind::Add, BUCKETS + 1));
-            inner.cell_kinds.push(CellKind::Max);
+impl Inner {
+    /// The slot of `name` (a cell index, or a `gauges` index for a gauge),
+    /// claimed on first use, or why it cannot be.
+    fn claim(&mut self, name: &str, kind: MetricKind, cells: usize) -> Result<usize, String> {
+        if let Some(&index) = self.by_name.get(name) {
+            let def = &self.defs[index];
+            return if def.kind == kind {
+                Ok(def.slot)
+            } else {
+                Err(format!(
+                    "metric `{name}` already registered as {:?}, requested {kind:?}",
+                    def.kind
+                ))
+            };
         }
-        MetricKind::Gauge => unreachable!("gauges are registered via register_gauge"),
+        let slot = match kind {
+            MetricKind::Gauge => {
+                self.gauges.push(Arc::new(AtomicI64::new(0)));
+                self.gauges.len() - 1
+            }
+            MetricKind::Counter | MetricKind::Histogram => {
+                let slot = self.cell_kinds.len();
+                if slot + cells > MAX_SLOTS {
+                    return Err(format!(
+                        "obs metric slot space exhausted registering `{name}` \
+                         (MAX_SLOTS = {MAX_SLOTS})"
+                    ));
+                }
+                self.cell_kinds.extend((0..cells).map(|cell| match kind {
+                    MetricKind::Histogram if cell == MAX_OFFSET => CellKind::Max,
+                    _ => CellKind::Add,
+                }));
+                slot
+            }
+        };
+        self.by_name.insert(name.to_string(), self.defs.len());
+        self.defs.push(Def { name: name.to_string(), kind, slot });
+        Ok(slot)
     }
-    let index = inner.defs.len();
-    inner.by_name.insert(name.to_string(), index);
-    inner.defs.push(Def { name: name.to_string(), kind, slot });
-    slot
 }
 
-fn register_gauge(name: &str) -> Arc<AtomicI64> {
-    let mut inner = registry().lock();
-    if let Some(&index) = inner.by_name.get(name) {
-        let def = &inner.defs[index];
-        assert_eq!(
-            def.kind,
-            MetricKind::Gauge,
-            "metric `{name}` already registered as {:?}, requested Gauge",
-            def.kind
-        );
-        return Arc::clone(&inner.gauges[def.slot]);
-    }
-    let cell = Arc::new(AtomicI64::new(0));
-    let slot = inner.gauges.len();
-    inner.gauges.push(Arc::clone(&cell));
-    let index = inner.defs.len();
-    inner.by_name.insert(name.to_string(), index);
-    inner.defs.push(Def { name: name.to_string(), kind: MetricKind::Gauge, slot });
-    cell
+/// Claim `name`'s slot. The verdict is reached under the registry lock, but
+/// a kind clash or slot exhaustion panics only after the lock is released,
+/// so a caught registration panic cannot poison every later metric call.
+fn register(name: &str, kind: MetricKind, cells: usize) -> usize {
+    let claimed = registry().lock().claim(name, kind, cells);
+    claimed.unwrap_or_else(|message| panic!("{message}"))
 }
 
 /// Register (or look up) a counter by name. Cheap after the first call for a
@@ -233,7 +231,8 @@ pub fn gauge(name: &str) -> Gauge {
     if !crate::enabled() {
         return Gauge { cell: Arc::new(AtomicI64::new(0)) };
     }
-    Gauge { cell: register_gauge(name) }
+    let slot = register(name, MetricKind::Gauge, 0);
+    Gauge { cell: Arc::clone(&registry().lock().gauges[slot]) }
 }
 
 /// Register (or look up) a histogram by name.
@@ -396,7 +395,7 @@ impl LazyGauge {
 }
 
 /// A histogram handle resolved lazily from a `static`; what
-/// [`crate::histogram!`] and [`crate::span!`] expand to.
+/// [`crate::histogram!`] expands to.
 pub struct LazyHistogram {
     name: &'static str,
     handle: OnceLock<Histogram>,
@@ -418,11 +417,5 @@ impl LazyHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.get().record(value);
-    }
-
-    /// Record a duration as nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, elapsed: Duration) {
-        self.get().record_duration(elapsed);
     }
 }

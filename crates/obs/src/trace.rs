@@ -1,13 +1,17 @@
 //! Causal tracing: span trees with parent links, per-thread span stacks, and
 //! cross-thread context propagation, exported as Chrome trace-event JSON.
 //!
-//! Unlike [`crate::span!`] (which feeds an aggregate latency histogram), a
-//! trace span is an *individual* record: it carries a [`TraceId`] shared by
-//! every span of one logical operation (one ingested epoch), its own
-//! [`SpanId`], a link to its parent span, wall-clock start/duration, and a
-//! handful of cheap integer attributes. Completed spans land in the
-//! [`crate::flight`] ring, from which [`export_chrome_json`] renders a
-//! Perfetto-loadable timeline.
+//! A trace span is the crate's one timing guard. It reads the clock once
+//! when it opens, and [`TraceSpan::finish`] returns the elapsed time in every
+//! build and recording state, so data fields (an epoch's wall time, a stage's
+//! metrics) read the same guard that traces the interval. While recording is
+//! on, closing the span writes two things from that one reading: an
+//! *individual* [`SpanRecord`] into the [`crate::flight`] ring, and one
+//! sample into the aggregate `<name>_ns` histogram. The record carries a
+//! [`TraceId`] shared by every span of one logical operation (one ingested
+//! epoch), its own [`SpanId`], a link to its parent span, wall-clock
+//! start/duration, and a handful of cheap integer attributes;
+//! [`export_chrome_json`] renders the ring as a Perfetto-loadable timeline.
 //!
 //! Parenting is implicit through a per-thread stack: the innermost open span
 //! on the current thread is the parent of the next one opened. Fan-out
@@ -15,16 +19,18 @@
 //! [`current`] before spawning and [`adopt`] it inside the worker, and spans
 //! opened by the worker become children of the fan-out span.
 //!
-//! Both escape hatches hold: under the `noop` feature every function here is
-//! inert, and with [`crate::set_recording`] off, guards are constructed empty
-//! and record nothing.
+//! Both escape hatches hold: under the `noop` feature every function here
+//! records nothing, and with [`crate::set_recording`] off, guards are
+//! constructed without ids, stack entry or histogram, and their drop only
+//! discards a timestamp.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::flight;
+use crate::registry::Histogram;
 
 /// Identifies one logical operation (e.g. one ingested epoch); shared by
 /// every span in the tree.
@@ -85,13 +91,16 @@ impl SpanId {
     }
 }
 
-/// Nanoseconds since the process-wide trace epoch (first use). A single
-/// shared `Instant` origin keeps timestamps comparable across threads, so
-/// parent/child containment holds in the exported timeline.
-pub(crate) fn now_ns() -> u64 {
+/// The process-wide trace epoch (first use) that span start times count
+/// from. A single shared origin keeps timestamps comparable across threads,
+/// so parent/child containment holds in the exported timeline.
+fn trace_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos() as u64
+    *EPOCH.get_or_init(Instant::now)
+}
+
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Dense thread index for timeline lanes (stable for the thread's lifetime).
@@ -132,12 +141,16 @@ pub fn current() -> Option<TraceContext> {
     STACK.try_with(|stack| stack.borrow().last().copied()).unwrap_or(None)
 }
 
-/// An open trace span; completes (into the flight ring) on drop.
+/// An open trace span: the one timing guard. Completes on drop or
+/// [`TraceSpan::finish`], writing its flight record and its `<name>_ns`
+/// histogram sample from one clock reading.
 ///
-/// While recording is off at construction the guard is inert: no ids are
-/// allocated, nothing is pushed on the stack, drop is free.
+/// While recording is off at construction the guard holds only its start
+/// time: no ids are allocated, nothing is pushed on the stack, no histogram
+/// is registered, and closing it records nothing.
 #[must_use = "a trace span completes on drop; binding it to `_` drops it immediately"]
 pub struct TraceSpan {
+    started: Instant,
     inner: Option<SpanInner>,
 }
 
@@ -145,32 +158,40 @@ struct SpanInner {
     ctx: TraceContext,
     parent: Option<SpanId>,
     name: String,
+    histogram: Histogram,
     start_ns: u64,
     attrs: Vec<(&'static str, u64)>,
 }
 
 impl TraceSpan {
-    fn open(name: String) -> TraceSpan {
+    fn open(name: &str) -> TraceSpan {
         if !crate::recording() {
-            return TraceSpan { inner: None };
+            return TraceSpan { started: Instant::now(), inner: None };
         }
+        // Registered at open, not at close, so a name clash panics at the
+        // call site rather than inside a drop.
+        let histogram = crate::histogram(&format!("{name}_ns"));
         let parent = STACK.try_with(|stack| stack.borrow().last().copied()).unwrap_or(None);
         let trace = parent.map(|ctx| ctx.trace).unwrap_or_else(TraceId::next);
         let ctx = TraceContext { trace, span: SpanId::next() };
         stack_push(ctx);
+        let epoch = trace_epoch();
+        let started = Instant::now();
         TraceSpan {
+            started,
             inner: Some(SpanInner {
                 ctx,
                 parent: parent.map(|ctx| ctx.span),
-                name,
-                start_ns: now_ns(),
+                name: name.to_string(),
+                histogram,
+                start_ns: nanos(started.saturating_duration_since(epoch)),
                 attrs: Vec::new(),
             }),
         }
     }
 
     /// Attach a structured attribute. Cheap (`&'static str` key, integer
-    /// value); a no-op on an inert guard.
+    /// value); a no-op on a guard opened while recording was off.
     pub fn attr(&mut self, key: &'static str, value: u64) {
         if let Some(inner) = self.inner.as_mut() {
             inner.attrs.push((key, value));
@@ -182,47 +203,59 @@ impl TraceSpan {
         self.inner.as_ref().map(|inner| inner.ctx)
     }
 
-    /// Close the span early, before scope end.
-    pub fn finish(self) {}
+    /// Time since the span opened; the span stays open.
+    pub fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Close the span now and return how long it was open — the same
+    /// reading its flight record and histogram sample carry. Returns the
+    /// elapsed time in every build and recording state.
+    pub fn finish(mut self) -> Duration {
+        let elapsed = self.started.elapsed();
+        self.complete(elapsed);
+        elapsed
+    }
+
+    fn complete(&mut self, elapsed: Duration) {
+        let Some(inner) = self.inner.take() else { return };
+        stack_remove(inner.ctx.span);
+        let duration_ns = nanos(elapsed);
+        inner.histogram.record(duration_ns);
+        flight::record(SpanRecord {
+            seq: 0, // assigned by the flight ring
+            trace: inner.ctx.trace,
+            span: inner.ctx.span,
+            parent: inner.parent,
+            name: inner.name,
+            thread: thread_index(),
+            start_ns: inner.start_ns,
+            duration_ns,
+            attrs: inner.attrs,
+        });
+    }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            stack_remove(inner.ctx.span);
-            let end_ns = now_ns();
-            flight::record(SpanRecord {
-                seq: 0, // assigned by the flight ring
-                trace: inner.ctx.trace,
-                span: inner.ctx.span,
-                parent: inner.parent,
-                name: inner.name,
-                thread: thread_index(),
-                start_ns: inner.start_ns,
-                duration_ns: end_ns.saturating_sub(inner.start_ns),
-                attrs: inner.attrs,
-            });
+        if self.inner.is_some() {
+            self.complete(self.started.elapsed());
         }
     }
 }
 
-/// Open a trace span with a static name: `let mut s = trace::span("stream.epoch");`.
+/// Open a span with a static name: `let mut s = trace::span("stream.epoch");`.
 /// A root span (empty stack) starts a fresh [`TraceId`]; otherwise the span
-/// becomes a child of the innermost open span on this thread.
+/// becomes a child of the innermost open span on this thread. While
+/// recording, it samples the `<name>_ns` histogram (`stream.epoch_ns`).
 pub fn span(name: &'static str) -> TraceSpan {
-    if !crate::recording() {
-        return TraceSpan { inner: None };
-    }
-    TraceSpan::open(name.to_string())
+    TraceSpan::open(name)
 }
 
-/// Open a trace span with a dynamically built name, e.g.
+/// Open a span with a dynamically built name, e.g.
 /// `trace::span_dynamic(&format!("stage.{name}"))`.
 pub fn span_dynamic(name: &str) -> TraceSpan {
-    if !crate::recording() {
-        return TraceSpan { inner: None };
-    }
-    TraceSpan::open(name.to_string())
+    TraceSpan::open(name)
 }
 
 /// A guard that makes an inherited [`TraceContext`] current on this thread

@@ -1,5 +1,5 @@
 //! Integration tests for the metrics registry: bucket boundaries, concurrent
-//! recording, snapshot determinism, spans, and events.
+//! recording, snapshot determinism, and spans.
 //!
 //! The registry is process-global and the test harness runs these in parallel
 //! threads, so every test uses metric names unique to it and asserts on
@@ -161,13 +161,13 @@ fn snapshots_are_deterministic_and_ordered() {
 #[test]
 fn span_guard_records_on_drop() {
     {
-        let _span = obs::span("test.metrics.span_ns");
+        let _span = obs::trace::span_dynamic(&format!("test.metrics.{}", "span"));
         std::hint::black_box(0u64);
     }
     let snap = obs::snapshot();
     if obs::enabled() {
         let summary = snap.histogram("test.metrics.span_ns").expect("span histogram");
-        assert!(summary.count >= 1);
+        assert_eq!(summary.count, 1);
     } else {
         assert!(snap.metrics.is_empty());
     }
@@ -180,41 +180,17 @@ fn macros_compile_and_record() {
     obs::gauge!("test.metrics.macro_gauge", 17);
     obs::histogram!("test.metrics.macro_hist", 100);
     {
-        let _span = obs::span!("test.metrics.macro_span_ns");
+        let _span = obs::trace::span("test.metrics.macro_span");
     }
-    obs::event!("test.metrics.macro_event", "payload {}", 1);
     let snap = obs::snapshot();
     if obs::enabled() {
         assert_eq!(snap.counter("test.metrics.macro_counter"), Some(5));
         assert_eq!(snap.gauge("test.metrics.macro_gauge"), Some(17));
         assert_eq!(snap.histogram("test.metrics.macro_hist").map(|h| h.count), Some(1));
-        assert!(snap.histogram("test.metrics.macro_span_ns").map(|h| h.count).unwrap_or(0) >= 1);
+        assert_eq!(snap.histogram("test.metrics.macro_span_ns").map(|h| h.count), Some(1));
     } else {
         assert!(snap.metrics.is_empty());
     }
-}
-
-#[test]
-fn events_are_sequenced_and_bounded() {
-    obs::event!("test.metrics.event", "first");
-    obs::event!("test.metrics.event", "second");
-    obs::event!("test.metrics.event");
-    let events: Vec<obs::Event> = obs::recent_events(usize::MAX)
-        .into_iter()
-        .filter(|event| event.name == "test.metrics.event")
-        .collect();
-    if !obs::enabled() {
-        assert!(events.is_empty());
-        return;
-    }
-    assert_eq!(events.len(), 3);
-    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-    assert_eq!(events[0].detail, "first");
-    assert_eq!(events[1].detail, "second");
-    assert_eq!(events[2].detail, "");
-    // A bounded request returns the most recent suffix.
-    let limited = obs::recent_events(1);
-    assert_eq!(limited.len(), 1);
 }
 
 #[test]

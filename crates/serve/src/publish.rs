@@ -164,7 +164,8 @@ impl SnapshotPublisher {
         if obs::recording() {
             // Provenance of the published build (delta-vs-full split and the
             // segment-reuse ratio that makes delta publishing sublinear) —
-            // the `chunk_reuse` SLO's input.
+            // the `chunk_reuse` SLO's input. The build's latency is the
+            // analyzer's `serve.publish` span (`serve.publish_ns`).
             let build = snapshot.build_stats();
             obs::gauge!("serve.publish.delta", i64::from(build.delta));
             if build.delta {
@@ -172,16 +173,6 @@ impl SnapshotPublisher {
                     "serve.publish.reuse_ratio",
                     (build.chunk_reuse_ratio() * 10_000.0) as i64
                 );
-            }
-            // `build_ns == 0` marks a synthetic snapshot (empty default, test
-            // stamp) that never went through a timed build; don't pollute the
-            // latency split with zeros.
-            if build.build_ns > 0 {
-                if build.delta {
-                    obs::histogram!("serve.publish.delta_ns", build.build_ns);
-                } else {
-                    obs::histogram!("serve.publish.full_ns", build.build_ns);
-                }
             }
         }
         *self.slot.write().expect("publisher slot poisoned") = snapshot;

@@ -232,16 +232,18 @@ impl QueryService {
     /// entries only ever match their own epoch).
     ///
     /// Each call records its end-to-end latency into the per-variant
-    /// `serve.query.<variant>_ns` histogram, bumps `serve.query.count`, and
-    /// — for current-snapshot queries — records `serve.query.epoch_lag`:
-    /// how many epochs the snapshot that answered trails the latest
-    /// published one (non-zero only when a publish raced this query).
+    /// `serve.query.<variant>_ns` histogram (their counts sum to the queries
+    /// served) and — for current-snapshot queries — records
+    /// `serve.query.epoch_lag`: how many epochs the snapshot that answered
+    /// trails the latest published one (non-zero only when a publish raced
+    /// this query). The query path keeps its own clock pair rather than a
+    /// span: a span per query would allocate a name and flood the flight
+    /// ring.
     pub fn query(&self, query: &Query) -> Served {
         let timed = obs::recording().then(std::time::Instant::now);
         let served = self.answer_via_cache(query);
         if let Some(started) = timed {
             latency_histogram(query).get().record_duration(started.elapsed());
-            obs::counter!("serve.query.count");
             // Historical queries address old epochs on purpose; recording
             // their distance as "lag" would drown the real publish-race
             // signal.

@@ -33,7 +33,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ethsim::{Address, BlockNumber, Timestamp, Wei};
 use graphlib::PatternCatalogue;
@@ -91,16 +91,26 @@ pub struct EpochDelta {
     pub lost_suspects: usize,
     /// Confirmed activities after the epoch.
     pub confirmed_total: usize,
-    /// Wall-clock time of the epoch's ingestion + re-detection, nanoseconds.
+    /// Wall-clock time of the epoch's ingestion, re-detection and
+    /// reassembly, nanoseconds: the `stream.epoch` span's reading before the
+    /// snapshot publish and the health check (its `stream.epoch_ns` sample
+    /// also covers the publish).
     pub wall_time_ns: u64,
-    /// Wall-clock time of the epoch's reassembly, nanoseconds — the
-    /// benchmark's `stream.reassemble_ms` sample. It covers the leverage
-    /// index update, the changed groups' patch of the confirmed set, its
-    /// Table II leaf column and the Fig. 3 refcounts, folding the epoch's
-    /// new rows into Table I, and the Table II fold over the leaf column
-    /// that the snapshot needs. The full [`LiveReport`] is not built here
-    /// but on the first [`StreamAnalyzer::report`] read after the epoch.
+    /// Wall-clock time of the epoch's reassembly, nanoseconds: the
+    /// `stream.reassemble` span's reading, and the benchmark's
+    /// `stream.reassemble_ms` sample. It covers the leverage index update,
+    /// the changed groups' patch of the confirmed set, its Table II leaf
+    /// column and the Fig. 3 refcounts, folding the epoch's new rows into
+    /// Table I, and the Table II fold over the leaf column that the snapshot
+    /// needs. The full [`LiveReport`] is not built here but on the first
+    /// [`StreamAnalyzer::report`] read after the epoch.
     pub reassemble_ns: u64,
+}
+
+/// A span's reading as whole nanoseconds, clamped to 1 ns so a measured
+/// phase never reads as unmeasured.
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos().max(1)).unwrap_or(u64::MAX)
 }
 
 impl EpochDelta {
@@ -358,10 +368,10 @@ impl<'a> StreamAnalyzer<'a> {
         let span = self.cursor.next_epoch(self.input.chain, max_blocks)?;
         // The cached report describes the previous epoch.
         self.report.take();
-        let started = Instant::now();
         // Root of this epoch's span tree: every traced phase below — the
         // ingest decode and commit, the dirty-set fan-out, reassembly, and
-        // the snapshot publish — parents under it.
+        // the snapshot publish — parents under it. Its `stream.epoch_ns`
+        // sample runs through the publish; `wall_time_ns` stops before it.
         let mut epoch_trace = obs::trace::span("stream.epoch");
         epoch_trace.attr("epoch", self.epochs.len() as u64);
         epoch_trace.attr("first_block", span.first.0);
@@ -432,7 +442,7 @@ impl<'a> StreamAnalyzer<'a> {
             }
             (graph.nft, NftState { refinement, evidence, facts })
         });
-        detect_trace.finish();
+        drop(detect_trace);
         drop(dirty_graphs);
         let mut evaluate_reruns = 0u64;
         for (nft, state) in recomputed {
@@ -461,10 +471,9 @@ impl<'a> StreamAnalyzer<'a> {
             }
         }
 
-        let reassemble_started = Instant::now();
+        let reassemble_trace = obs::trace::span("stream.reassemble");
         let changes = self.reassemble(span.last, &applied.dirty);
-        let reassemble_ns =
-            u64::try_from(reassemble_started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX);
+        let reassemble_ns = nanos(reassemble_trace.finish());
 
         // Suspect transitions, from the changed groups alone: a group that
         // was empty is a new suspect, one that became empty a lost one.
@@ -496,7 +505,7 @@ impl<'a> StreamAnalyzer<'a> {
             new_suspects,
             lost_suspects,
             confirmed_total: self.detection.confirmed.len(),
-            wall_time_ns: u64::try_from(started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX),
+            wall_time_ns: nanos(epoch_trace.elapsed()),
             reassemble_ns,
         };
         if obs::recording() {
@@ -505,7 +514,6 @@ impl<'a> StreamAnalyzer<'a> {
             obs::counter!("stream.evaluate_reruns", evaluate_reruns);
             obs::counter!("stream.new_suspects", delta.new_suspects.len() as u64);
             obs::counter!("stream.lost_suspects", delta.lost_suspects as u64);
-            obs::histogram!("stream.epoch_ns", delta.wall_time_ns);
             obs::histogram!("stream.dirty_nfts", delta.dirty_nfts as u64);
             obs::gauge!("stream.total_nfts", delta.total_nfts as i64);
             obs::gauge!("stream.confirmed_total", delta.confirmed_total as i64);
@@ -514,23 +522,14 @@ impl<'a> StreamAnalyzer<'a> {
             // `watermark_lag` SLO's input (0 when tailing keeps up).
             let lag = self.input.chain.current_block_number().0.saturating_sub(span.last.0);
             obs::gauge!("stream.watermark_lag", lag as i64);
-            obs::event!(
-                "stream.epoch",
-                "epoch {}: blocks {}..={}, {} dirty of {} NFTs, {} confirmed",
-                delta.index,
-                delta.first_block.0,
-                delta.last_block.0,
-                delta.dirty_nfts,
-                delta.total_nfts,
-                delta.confirmed_total
-            );
         }
         self.epochs.push(delta.clone());
         self.publish_snapshot();
         epoch_trace.attr("dirty", delta.dirty_nfts as u64);
+        epoch_trace.attr("total_nfts", delta.total_nfts as u64);
         epoch_trace.attr("transfers", delta.transfers as u64);
         epoch_trace.attr("confirmed", delta.confirmed_total as u64);
-        epoch_trace.finish();
+        drop(epoch_trace);
         if obs::recording() {
             // Judge the SLO catalog against the fresh metrics (including the
             // publish gauges this epoch just set); a newly violated rule
@@ -588,7 +587,7 @@ impl<'a> StreamAnalyzer<'a> {
         publish_trace.attr("epoch", snapshot.epoch());
         publish_trace.attr("delta", u64::from(build.delta));
         publish_trace.attr("reuse_bp", (build.chunk_reuse_ratio() * 10_000.0) as u64);
-        publish_trace.finish();
+        drop(publish_trace);
         self.last_snapshot = Some(snapshot.clone());
         self.publisher.publish(snapshot);
     }
@@ -652,14 +651,12 @@ impl<'a> StreamAnalyzer<'a> {
         last_block: BlockNumber,
         dirty: &[NftKey],
     ) -> Vec<GroupChange<DenseActivity>> {
-        let _reassemble_span = obs::span!("stream.reassemble_ns");
-        let _reassemble_trace = obs::trace::span("stream.reassemble");
         let interner = &self.dataset.interner;
         let (directory, oracle) = (self.input.directory, self.input.oracle);
 
         // §IV-C/D: replace the dirty groups in the leverage index, which
         // names the NFTs whose leverage verdict flipped with them.
-        let detect_span = obs::span!("stream.reassemble.detect_ns");
+        let detect_trace = obs::trace::span("stream.reassemble.detect");
         let mut touched: Vec<(NftId, NftKey)> = Vec::with_capacity(dirty.len());
         for &key in dirty {
             let state = self.states.get(key.index()).and_then(Option::as_ref);
@@ -727,10 +724,10 @@ impl<'a> StreamAnalyzer<'a> {
         self.market_slots = slots;
         debug_assert_eq!(self.wash_leaves.len(), confirmed.len(), "one leaf per activity");
         self.detection = self.leverage.outcome(confirmed);
-        drop(detect_span);
+        drop(detect_trace);
 
         // §V: the Fig. 3 refcounts, Table I and Table II.
-        let _characterize_span = obs::span!("stream.reassemble.characterize_ns");
+        let _characterize_trace = obs::trace::span("stream.reassemble.characterize");
         // Fig. 3 baseline: price only the new rows, and flip only the rows
         // whose wash status the changed groups' transition changed.
         self.legit.append_rows(&self.dataset, oracle);
@@ -782,7 +779,7 @@ impl<'a> StreamAnalyzer<'a> {
     /// cached report until the next [`StreamAnalyzer::ingest_epoch`].
     pub fn report(&self) -> &LiveReport {
         self.report.get_or_init(|| {
-            let _span = obs::span!("stream.report_ns");
+            let _report_trace = obs::trace::span("stream.report");
             let dataset = &self.dataset;
             let directory = self.input.directory;
             let facts = self.confirmed_facts();

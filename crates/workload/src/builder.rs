@@ -345,25 +345,6 @@ impl Runner {
             self.accrue_day(day);
         }
 
-        if obs::recording() {
-            // One ring entry per planted activity, named by its pattern —
-            // the dynamic-name mirror of the static `event!` milestones.
-            for scenario in &self.scenarios {
-                let spec = &scenario.spec;
-                obs::event_dynamic(
-                    &format!("workload.scenario.{}", spec.pattern.label()),
-                    format!(
-                        "id {}: {} participants, {} trades, venue {:?}, goal {:?}",
-                        spec.id,
-                        spec.participants(),
-                        scenario.trade_hashes.len(),
-                        spec.venue,
-                        spec.goal,
-                    ),
-                );
-            }
-        }
-
         let truth = self.scenarios.iter().map(|s| self.truth_of(s)).collect();
         Ok(World {
             config: self.config,

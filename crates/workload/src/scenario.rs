@@ -106,15 +106,6 @@ pub enum ScenarioPattern {
 }
 
 impl ScenarioPattern {
-    /// Short stable label for telemetry, e.g. `p3` for catalogued pattern 3
-    /// or `cycle7` for an uncatalogued 7-account cycle.
-    pub fn label(&self) -> String {
-        match self {
-            ScenarioPattern::Catalogued(id) => format!("p{}", id.0),
-            ScenarioPattern::LargeCycle(n) => format!("cycle{n}"),
-        }
-    }
-
     /// Number of colluding accounts in the pattern.
     pub fn participants(&self) -> usize {
         match self {

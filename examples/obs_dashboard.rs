@@ -3,8 +3,7 @@
 //! operator would look at — the metrics snapshot as a text table, the derived
 //! health indicators (executor utilization, cache hit rate, per-epoch
 //! latency quantiles), the SLO health report, the last epoch's causal span
-//! tree from the flight recorder, the recent-event tail, and the
-//! machine-readable JSON export. A Chrome trace of the whole run is written
+//! tree from the flight recorder, and the machine-readable JSON export. A Chrome trace of the whole run is written
 //! to `target/obs_dashboard_trace.json` for Perfetto.
 //!
 //! ```text
@@ -87,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("== derived health indicators ==");
-    let busy = snapshot.counter("executor.busy_ns").unwrap_or(0);
+    let busy = snapshot.histogram("executor.worker_ns").map_or(0, |workers| workers.sum);
     let span = snapshot.counter("executor.span_ns").unwrap_or(0);
     if span > 0 {
         println!(
@@ -156,11 +155,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace_path = std::path::Path::new("target").join("obs_dashboard_trace.json");
     std::fs::write(&trace_path, obs::trace::export_chrome_json())?;
     println!("\nChrome trace written to {} (open in Perfetto)", trace_path.display());
-
-    println!("\n== recent events ==");
-    for event in obs::recent_events(8) {
-        println!("  #{:<4} {:<16} {}", event.seq, event.name, event.detail);
-    }
 
     println!("\n== JSON export (first 400 chars) ==");
     let json = snapshot.render_json();
