@@ -96,11 +96,15 @@ impl TxPayment {
 
 /// What one decode shard produced, in execution order: the matching-log
 /// count, every decoded transfer (compliance still undecided for contracts
-/// first seen in this range — verdicts are a commit concern), and the
-/// emitting contracts as first-seen runs.
+/// first seen in this range — verdicts are a commit concern), the
+/// contracts of the logs no decoder accepted, and the emitting contracts as
+/// first-seen runs.
 struct ShardBatch {
     raw_events: usize,
     transfers: Vec<NftTransfer>,
+    /// The emitting contract of each matching log that failed to decode,
+    /// skipped known-bad contracts excepted.
+    undecodable: Vec<Address>,
     /// Contracts of the shard's matching logs, memoized per consecutive run
     /// (so the list is short, but every contract that emitted a matching log
     /// appears at least once — decode failures included, which the verdict
@@ -128,6 +132,11 @@ pub struct IngestMetrics {
     pub raw_events: usize,
     /// Compliant transfers committed.
     pub appended: usize,
+    /// ERC-721-shaped logs of compliant contracts that no decoder accepted
+    /// (e.g. a padded address topic), dropped without a transfer. Logs of
+    /// non-compliant contracts are not counted: those already known are
+    /// skipped before decode, so counting theirs would depend on slicing.
+    pub undecodable: usize,
 }
 
 impl IngestMetrics {
@@ -226,6 +235,11 @@ impl Dataset {
             for &contract in &batch.contracts {
                 self.probe_contract(chain, contract);
             }
+            metrics.undecodable += batch
+                .undecodable
+                .iter()
+                .filter(|contract| self.compliant_contracts.contains(*contract))
+                .count();
             for transfer in &batch.transfers {
                 let contract = transfer.nft.contract;
                 let compliant = match verdict {
@@ -268,6 +282,7 @@ impl Dataset {
         obs::counter!("ingest.calls");
         obs::counter!("ingest.raw_events", metrics.raw_events as u64);
         obs::counter!("ingest.transfers", metrics.appended as u64);
+        obs::counter!("ingest.undecodable_logs", metrics.undecodable as u64);
         obs::counter!("ingest.shards", metrics.shards as u64);
         let (accounts, nfts, markets) = entities_before;
         obs::counter!("ingest.new_accounts", (self.interner.account_count() - accounts) as u64);
@@ -295,6 +310,7 @@ fn decode_span(
         // transactions carry at most one, so the span's transaction count is
         // a good upper-bound first allocation.
         transfers: Vec::with_capacity(chain.transaction_count_in_blocks(span.first, span.last)),
+        undecodable: Vec::new(),
         contracts: Vec::new(),
     };
     // One memoized verdict covers whole runs of same-contract logs.
@@ -317,6 +333,7 @@ fn decode_span(
             return;
         }
         let Some(decoded) = log.decode_erc721_transfer() else {
+            batch.undecodable.push(log.address);
             return;
         };
         // The visitor hands over the owning transaction, so the payment
@@ -419,6 +436,7 @@ mod tests {
             let executor = Executor::new(threads);
             let mut dataset = Dataset::default();
             let mut from = BlockNumber(0);
+            let mut undecodable = 0;
             for &to in &plan.ends {
                 let rows_before = dataset.transfer_count();
                 let (applied, metrics) = dataset.ingest_blocks_instrumented(
@@ -440,8 +458,10 @@ mod tests {
                     world.chain.logs_in_blocks(from, to, &filter).len(),
                     "{context}: raw events"
                 );
+                undecodable += metrics.undecodable;
                 from = BlockNumber(to.0 + 1);
             }
+            assert_eq!(undecodable, 1, "the padded log, counted once at {threads} threads");
             assert_eq!(dataset, Dataset::build(&world.chain, &world.directory));
         }
     }

@@ -3,15 +3,29 @@
 //! Entries are keyed by `(epoch, query)`: a cached response is served only
 //! while the snapshot that produced it is still the published one, so
 //! publishing a new epoch invalidates the entire cache *logically* at zero
-//! cost — stale entries simply stop matching and are evicted lazily as
-//! their slots are reused. Sharding (by query hash) keeps lock contention
-//! off the hot read path; within a shard, eviction is least-recently-used
-//! via a per-shard clock.
+//! cost — stale entries simply stop matching and are purged lazily, once
+//! per shard per publish. Sharding keeps lock contention off the hot read
+//! path; within a shard, eviction is least-recently-used via a per-shard
+//! clock.
+//!
+//! Each key is hashed once with [`ethsim::FxHasher`]. The hash's high bits
+//! pick the shard, and its middle bits the home cell of the shard's
+//! open-addressed index (linear probing, at most half full), whose cells
+//! point at entry slots. A lookup therefore compares one or two keys
+//! however full the shard is. A linear scan compared up to 64 keys of
+//! ~184-byte entries and walked the shard twice more per insert: on the
+//! Large converged snapshot, with recording off, a cached `Stats` cost
+//! 230–310 ns against 5–9 ns to recompute it, and a cached `Nft`
+//! 259–332 ns against 117–145 ns. The last-use clocks sit in a column of
+//! their own, so picking an LRU victim reads 8 bytes per entry. Each shard
+//! remembers the oldest epoch among its entries that can go stale, so an
+//! insert walks the shard to purge only when that epoch is older than its
+//! own.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use ethsim::FxHasher;
 
 use crate::query::{Query, Response};
 
@@ -48,29 +62,221 @@ impl CacheStats {
     }
 }
 
-/// One cached response.
+/// An index cell that points at no slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Index cells a shard starts with (a power of two).
+const MIN_CELLS: usize = 8;
+
+/// One cached response and the hash of its key.
 struct CacheEntry {
+    hash: u64,
     epoch: u64,
     query: Query,
     response: Response,
-    last_used: u64,
 }
 
-/// One shard: a small open vector scanned linearly (capacities are small
-/// enough that a scan beats a map), with an LRU clock.
-#[derive(Default)]
+/// One shard: entries in dense slots, an open-addressed index from key hash
+/// to slot, the slots' last-use clocks, and the shard's counters, all under
+/// the shard's lock.
 struct Shard {
+    /// Linear-probing table of slot numbers (`EMPTY` when free); a power of
+    /// two at least twice the entry count, so every probe ends at a free
+    /// cell.
+    cells: Vec<u32>,
     entries: Vec<CacheEntry>,
+    /// `last_used[slot]` is the clock reading of the slot's last touch;
+    /// readings are unique within the shard, so the LRU victim is too.
+    last_used: Vec<u64>,
     clock: u64,
+    /// No non-historical entry is older than this epoch (`u64::MAX` when
+    /// none is held). A lower bound: an LRU victim may have been the
+    /// oldest, in which case the next purge finds less than it walks.
+    oldest_live: u64,
+    stats: CacheStats,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            cells: vec![EMPTY; MIN_CELLS],
+            entries: Vec::new(),
+            last_used: Vec::new(),
+            clock: 0,
+            oldest_live: u64::MAX,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Forget every entry, keeping the counters.
+    fn clear(&mut self) {
+        self.cells.fill(EMPTY);
+        self.entries.clear();
+        self.last_used.clear();
+        self.oldest_live = u64::MAX;
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The cell a key's probe sequence starts at: middle bits of its hash,
+    /// independent of the high bits that chose the shard.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.cells.len() - 1)
+    }
+
+    fn next(&self, cell: usize) -> usize {
+        (cell + 1) & (self.cells.len() - 1)
+    }
+
+    /// The slot holding `(epoch, query)`, if any.
+    fn find(&self, hash: u64, epoch: u64, query: &Query) -> Option<usize> {
+        let mut cell = self.home(hash);
+        loop {
+            let slot = self.cells[cell];
+            if slot == EMPTY {
+                return None;
+            }
+            let entry = &self.entries[slot as usize];
+            if entry.hash == hash && entry.epoch == epoch && entry.query == *query {
+                return Some(slot as usize);
+            }
+            cell = self.next(cell);
+        }
+    }
+
+    /// Point a free cell on `slot`'s probe sequence at it.
+    fn link(&mut self, slot: usize) {
+        let mut cell = self.home(self.entries[slot].hash);
+        while self.cells[cell] != EMPTY {
+            cell = self.next(cell);
+        }
+        self.cells[cell] = u32::try_from(slot).expect("a cache shard holds under 2^32 entries");
+    }
+
+    /// Free the cell pointing at `slot`, shifting later cells of its probe
+    /// run back so that no probe sequence crosses a gap.
+    fn unlink(&mut self, slot: usize) {
+        let mut hole = self.home(self.entries[slot].hash);
+        while self.cells[hole] as usize != slot {
+            hole = self.next(hole);
+        }
+        let mask = self.cells.len() - 1;
+        let mut cell = self.next(hole);
+        while self.cells[cell] != EMPTY {
+            let home = self.home(self.entries[self.cells[cell] as usize].hash);
+            // The entry may move back into the hole only if the hole lies
+            // between its home and where it sits now.
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.cells[hole] = self.cells[cell];
+                hole = cell;
+            }
+            cell = self.next(cell);
+        }
+        self.cells[hole] = EMPTY;
+    }
+
+    /// Rebuild the index over the current slots, growing it to stay at
+    /// most half full.
+    fn reindex(&mut self) {
+        let cells = self.cells.len().max((2 * self.entries.len()).next_power_of_two());
+        self.cells.clear();
+        self.cells.resize(cells, EMPTY);
+        for slot in 0..self.entries.len() {
+            self.link(slot);
+        }
+    }
+
+    fn get(&mut self, hash: u64, epoch: u64, query: &Query) -> Option<Response> {
+        let clock = self.tick();
+        match self.find(hash, epoch, query) {
+            Some(slot) => {
+                self.last_used[slot] = clock;
+                self.stats.hits += 1;
+                Some(self.entries[slot].response.clone())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Drop every non-historical entry older than `epoch`; returns how many
+    /// went.
+    fn purge_older_than(&mut self, epoch: u64) -> u64 {
+        let before = self.entries.len();
+        let mut slot = 0;
+        while slot < self.entries.len() {
+            let entry = &self.entries[slot];
+            if entry.epoch < epoch && !entry.query.is_historical() {
+                self.entries.swap_remove(slot);
+                self.last_used.swap_remove(slot);
+            } else {
+                slot += 1;
+            }
+        }
+        self.oldest_live = self
+            .entries
+            .iter()
+            .filter(|entry| !entry.query.is_historical())
+            .map(|entry| entry.epoch)
+            .min()
+            .unwrap_or(u64::MAX);
+        self.reindex();
+        (before - self.entries.len()) as u64
+    }
+
+    /// Insert or refresh `(epoch, query)`; returns how many entries were
+    /// evicted to do so.
+    fn insert(
+        &mut self,
+        hash: u64,
+        epoch: u64,
+        query: Query,
+        response: Response,
+        capacity: usize,
+    ) -> u64 {
+        let clock = self.tick();
+        let mut evicted = 0;
+        if self.oldest_live < epoch {
+            evicted += self.purge_older_than(epoch);
+        }
+        if !query.is_historical() {
+            self.oldest_live = self.oldest_live.min(epoch);
+        }
+        if let Some(slot) = self.find(hash, epoch, &query) {
+            self.entries[slot].response = response;
+            self.last_used[slot] = clock;
+        } else if self.entries.len() >= capacity {
+            let victim = (0..self.last_used.len())
+                .min_by_key(|&slot| self.last_used[slot])
+                .expect("a full shard holds at least one entry");
+            self.unlink(victim);
+            self.entries[victim] = CacheEntry { hash, epoch, query, response };
+            self.last_used[victim] = clock;
+            self.link(victim);
+            evicted += 1;
+        } else {
+            self.entries.push(CacheEntry { hash, epoch, query, response });
+            self.last_used.push(clock);
+            if 2 * self.entries.len() > self.cells.len() {
+                self.reindex();
+            } else {
+                self.link(self.entries.len() - 1);
+            }
+        }
+        self.stats.evictions += evicted;
+        evicted
+    }
 }
 
 /// The sharded LRU.
 pub struct ShardedLru {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedLru {
@@ -83,45 +289,53 @@ impl std::fmt::Debug for ShardedLru {
     }
 }
 
+/// The hash of a cache key.
+fn key_hash(epoch: u64, query: &Query) -> u64 {
+    let mut hasher = FxHasher::default();
+    epoch.hash(&mut hasher);
+    query.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Lock `shard`. A panic while it was held may have left it half-updated,
+/// and a cache may always forget, so a poisoned shard is cleared and used
+/// on; its counters survive.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        shard.clear_poison();
+        guard
+    })
+}
+
 impl ShardedLru {
     /// A cache with `shards` shards of `capacity_per_shard` entries each.
-    /// At least one shard is always allocated.
+    /// At least one shard, holding at least one entry, is always allocated.
     pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
         let shards = shards.max(1);
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            capacity_per_shard: capacity_per_shard.max(1),
         }
     }
 
-    fn shard_of(&self, query: &Query) -> &Mutex<Shard> {
-        let mut hasher = DefaultHasher::new();
-        query.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// The locked shard of a key hash, chosen by the hash's high bits.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        let index = (u128::from(hash) * self.shards.len() as u128) >> 64;
+        lock(&self.shards[index as usize])
     }
 
     /// The cached response for `query` at `epoch`, if present and fresh.
     pub fn get(&self, epoch: u64, query: &Query) -> Option<Response> {
-        let mut shard = self.shard_of(query).lock().expect("cache shard poisoned");
-        shard.clock += 1;
-        let clock = shard.clock;
-        if let Some(entry) =
-            shard.entries.iter_mut().find(|entry| entry.epoch == epoch && entry.query == *query)
-        {
-            entry.last_used = clock;
-            let response = entry.response.clone();
-            drop(shard);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let hash = key_hash(epoch, query);
+        let response = self.shard(hash).get(hash, epoch, query);
+        if response.is_some() {
             obs::counter!("serve.cache.hits");
-            return Some(response);
+        } else {
+            obs::counter!("serve.cache.misses");
         }
-        drop(shard);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("serve.cache.misses");
-        None
+        response
     }
 
     /// Insert a computed response. Entries from *older* epochs are purged
@@ -133,52 +347,19 @@ impl ShardedLru {
     /// publishes and are reclaimed by LRU pressure only. If the shard is
     /// still full, the least-recently-used entry is evicted.
     pub fn insert(&self, epoch: u64, query: Query, response: Response) {
-        let mut shard = self.shard_of(&query).lock().expect("cache shard poisoned");
-        shard.clock += 1;
-        let clock = shard.clock;
-        let before = shard.entries.len();
-        shard.entries.retain(|entry| entry.epoch >= epoch || entry.query.is_historical());
-        let mut evicted = (before - shard.entries.len()) as u64;
-        if let Some(entry) =
-            shard.entries.iter_mut().find(|entry| entry.epoch == epoch && entry.query == query)
-        {
-            entry.response = response;
-            entry.last_used = clock;
-            drop(shard);
-            self.note_evictions(evicted);
-            return;
-        }
-        if shard.entries.len() >= self.capacity_per_shard {
-            if let Some(lru) = shard
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(index, _)| index)
-            {
-                shard.entries.swap_remove(lru);
-                evicted += 1;
-            }
-        }
-        shard.entries.push(CacheEntry { epoch, query, response, last_used: clock });
-        drop(shard);
-        self.note_evictions(evicted);
-    }
-
-    fn note_evictions(&self, evicted: u64) {
+        let hash = key_hash(epoch, &query);
+        let evicted =
+            self.shard(hash).insert(hash, epoch, query, response, self.capacity_per_shard);
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
             obs::counter!("serve.cache.evictions", evicted);
         }
     }
 
     /// Hit/miss/eviction counters since construction.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.shards
+            .iter()
+            .fold(CacheStats::default(), |total, shard| total.merge(&lock(shard).stats))
     }
 }
 
@@ -275,5 +456,23 @@ mod tests {
         cache.insert(2, stats_query(3), response(3));
         assert!(cache.get(1, &stats_query(2)).is_none());
         assert!(cache.get(2, &stats_query(1)).is_some());
+    }
+
+    #[test]
+    fn a_poisoned_shard_is_cleared_not_fatal() {
+        // One panic under a shard lock must not turn every later query on
+        // that shard into a panic: the shard forgets and serves on.
+        let cache = ShardedLru::new(1, 4);
+        cache.insert(1, stats_query(1), response(1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = cache.shards[0].lock();
+            panic!("a reader panics while holding the shard lock");
+        }));
+        assert!(panicked.is_err() && cache.shards[0].is_poisoned());
+        assert_eq!(cache.get(1, &stats_query(1)), None, "the poisoned shard was cleared");
+        assert!(!cache.shards[0].is_poisoned());
+        cache.insert(1, stats_query(2), response(2));
+        assert_eq!(cache.get(1, &stats_query(2)), Some(response(2)));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
     }
 }

@@ -220,6 +220,8 @@ impl SnapshotPublisher {
     /// no lock, no snapshot clone. May trail [`SnapshotPublisher::epoch`] by
     /// one publish for a concurrent reader (the mirror is updated after the
     /// swap), which is exactly the window epoch-lag metrics exist to see.
+    /// The query path keys its cache lookups on it, so in that window a hit
+    /// still serves the previous epoch's answer, stamped with that epoch.
     pub fn current_epoch(&self) -> u64 {
         self.epoch_cell.load(Ordering::Relaxed)
     }
@@ -364,6 +366,27 @@ mod tests {
         drop(service_b);
         let stats = publisher.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_publish_between_queries_misses_then_hits_the_new_epoch() {
+        // A hit keys on the published epoch without loading the snapshot,
+        // so after a publish the next query must miss, answer from the new
+        // snapshot and cache that answer for the query after it.
+        let publisher = SnapshotPublisher::new();
+        publisher.publish(stamped(1));
+        let service = QueryService::new(publisher.clone());
+        service.query(&Query::Stats);
+        assert!(service.query(&Query::Stats).cached, "epoch 1's answer is cached");
+        let next = stamped(2);
+        publisher.publish(next.clone());
+        let expected = next.answer(&Query::Stats);
+        let served = service.query(&Query::Stats);
+        assert_eq!((served.epoch, served.cached), (2, false));
+        assert_eq!(served.response, expected);
+        let served = service.query(&Query::Stats);
+        assert_eq!((served.epoch, served.cached), (2, true));
+        assert_eq!(served.response, expected);
     }
 
     #[test]

@@ -203,10 +203,10 @@ const CACHE_SHARDS: usize = 16;
 /// Entries per shard of a [`QueryService`]'s response cache.
 const CACHE_ENTRIES_PER_SHARD: usize = 64;
 
-/// The concurrent query front end: loads the current snapshot from the
-/// publisher, consults the sharded LRU, computes on miss. Clones share the
-/// publisher slot *and* the cache, so one service can be handed to any
-/// number of reader threads.
+/// The concurrent query front end: consults the sharded LRU under the
+/// published epoch, and on a miss loads the current snapshot from the
+/// publisher and computes. Clones share the publisher slot *and* the cache,
+/// so one service can be handed to any number of reader threads.
 #[derive(Debug, Clone)]
 pub struct QueryService {
     publisher: SnapshotPublisher,
@@ -228,8 +228,16 @@ impl QueryService {
     /// published snapshot; historical queries resolve their epochs through
     /// the publisher's retained history. The returned epoch identifies the
     /// snapshot that answered; the response is internally consistent with
-    /// it by construction (one `load`, one snapshot, one answer — and cache
-    /// entries only ever match their own epoch).
+    /// it by construction (one snapshot, one answer — and cache entries only
+    /// ever match their own epoch).
+    ///
+    /// A snapshot-level query first looks the cache up under the published
+    /// epoch ([`SnapshotPublisher::current_epoch`], one atomic load) without
+    /// loading the snapshot: a hit is an answer computed from that epoch's
+    /// snapshot, and costs one shard lock. Only a miss loads the snapshot,
+    /// answers from it and caches the answer under the snapshot's epoch.
+    /// `Metrics` and `Health` are stamped with the published epoch the same
+    /// way.
     ///
     /// Each call records its end-to-end latency into the per-variant
     /// `serve.query.<variant>_ns` histogram (their counts sum to the queries
@@ -259,25 +267,31 @@ impl QueryService {
         match query {
             // Metrics and health are live process state, not snapshot state:
             // caching either would freeze the counters/verdicts they exist
-            // to report.
-            Query::Metrics | Query::Health => {
-                let snapshot = self.publisher.load();
-                Served { epoch: snapshot.epoch(), cached: false, response: snapshot.answer(query) }
-            }
+            // to report. Neither reads the snapshot, so neither loads it.
+            Query::Metrics => self.live(Response::Metrics(obs::snapshot())),
+            Query::Health => self.live(Response::Health(obs::health::report())),
             Query::AsOf(epoch, inner) => self.answer_as_of(*epoch, inner, query),
             Query::SuspectDiff { from, to } => self.answer_diff(*from, *to, query),
             Query::WashVolumeTrend => self.answer_trend(query),
             _ => {
-                let snapshot = self.publisher.load();
-                let epoch = snapshot.epoch();
+                // The epoch mirror may trail the slot by one publish; an
+                // entry it finds still answers its own epoch exactly.
+                let epoch = self.publisher.current_epoch();
                 if let Some(response) = self.cache.get(epoch, query) {
                     return Served { epoch, cached: true, response };
                 }
+                let snapshot = self.publisher.load();
+                let epoch = snapshot.epoch();
                 let response = snapshot.answer(query);
                 self.cache.insert(epoch, query.clone(), response.clone());
                 Served { epoch, cached: false, response }
             }
         }
+    }
+
+    /// A live-state answer, never cached, stamped with the published epoch.
+    fn live(&self, response: Response) -> Served {
+        Served { epoch: self.publisher.current_epoch(), cached: false, response }
     }
 
     /// Answer `inner` from the snapshot retained for `epoch`. Cached under
